@@ -83,13 +83,13 @@ void runPravega(Report& report, bool readahead) {
         uint64_t bytes = 0;
     };
     auto drain = std::make_shared<Drain>();
-    auto alive = world->alive;
-    std::function<void(client::EventReader*)> pump = [&, drain, alive](client::EventReader* r) {
-        r->readNextEvent().onComplete([&, drain, alive, r](const Result<client::EventRead>& res) {
-            if (!*alive || !res.isOk()) return;
-            drain->bytes += res.value().payload.size();
-            pump(r);
-        });
+    std::function<void(client::EventReader*)> pump = [&, drain](client::EventReader* r) {
+        r->readNextEvent().onComplete(
+            world->life.guard([&, drain, r](const Result<client::EventRead>& res) {
+                if (!res.isOk()) return;
+                drain->bytes += res.value().payload.size();
+                pump(r);
+            }));
     };
     world->exec().runFor(sim::sec(1));
     for (auto& r : readers) pump(r.get());
@@ -152,14 +152,13 @@ void runSingleReaderCatchup(Report& report, bool readahead) {
     auto reader = group.value()->createReader("r0", world->cluster->newClientHost());
 
     auto drained = std::make_shared<uint64_t>(0);
-    auto alive = world->alive;
-    std::function<void()> pump = [&, drained, alive]() {
-        reader->readNextEvent().onComplete([&, drained,
-                                            alive](const Result<client::EventRead>& res) {
-            if (!*alive || !res.isOk()) return;
-            *drained += res.value().payload.size();
-            pump();
-        });
+    std::function<void()> pump = [&, drained]() {
+        reader->readNextEvent().onComplete(
+            world->life.guard([&, drained](const Result<client::EventRead>& res) {
+                if (!res.isOk()) return;
+                *drained += res.value().payload.size();
+                pump();
+            }));
     };
     sim::TimePoint start = world->exec().now();
     pump();
@@ -225,19 +224,18 @@ void runArchiveSweep(Report& report, bool archive) {
         uint32_t crc = 0;
     };
     auto st = std::make_shared<DrainState>();
-    auto alive = world->alive;
-    std::function<void()> pump = [&, st, alive, crcEvents]() {
-        reader->readNextEvent().onComplete([&, st, alive,
-                                            crcEvents](const Result<client::EventRead>& res) {
-            if (!*alive || !res.isOk()) return;
-            const Bytes& payload = res.value().payload;
-            st->bytes += payload.size();
-            if (st->events < crcEvents) {
-                st->crc = crc32(payload.data(), payload.size(), st->crc);
-            }
-            ++st->events;
-            pump();
-        });
+    std::function<void()> pump = [&, st, crcEvents]() {
+        reader->readNextEvent().onComplete(
+            world->life.guard([&, st, crcEvents](const Result<client::EventRead>& res) {
+                if (!res.isOk()) return;
+                const Bytes& payload = res.value().payload;
+                st->bytes += payload.size();
+                if (st->events < crcEvents) {
+                    st->crc = crc32(payload.data(), payload.size(), st->crc);
+                }
+                ++st->events;
+                pump();
+            }));
     };
     sim::TimePoint start = world->exec().now();
     pump();

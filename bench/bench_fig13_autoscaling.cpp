@@ -93,7 +93,7 @@ int main() {
     constexpr uint32_t kEventBytes = 10 * 1024;
     const int seconds = smoke() ? 5 : 60;
     sim::Rng rng(3);
-    LatencyHistogram hist;
+    obs::LatencyHistogram hist;
     double carry = 0;
     size_t rr = 0;
 

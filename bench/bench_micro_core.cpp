@@ -137,7 +137,7 @@ void BM_SerdeWriteOps(benchmark::State& state) {
 BENCHMARK(BM_SerdeWriteOps);
 
 void BM_HistogramRecord(benchmark::State& state) {
-    bench::LatencyHistogram hist;
+    obs::LatencyHistogram hist;
     sim::Rng rng(1);
     for (auto _ : state) {
         hist.record(static_cast<sim::Duration>(rng.nextBounded(100000000)));

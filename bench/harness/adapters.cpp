@@ -46,25 +46,23 @@ Bytes stampedPayload(sim::TimePoint now, uint32_t size) {
 
 void pumpReader(PravegaWorld* world, client::EventReader* reader,
                 std::shared_ptr<ClientStack> stack) {
-    auto alive = world->alive;
     reader->readNextEvent().onComplete(
-        [world, reader, alive, stack](const Result<client::EventRead>& r) {
-            if (!*alive || !r.isOk()) return;
+        world->life.guard([world, reader, stack](const Result<client::EventRead>& r) {
+            if (!r.isOk()) return;
             sim::TimePoint sentAt = 0;
             if (r.value().payload.size() >= 8) {
                 std::memcpy(&sentAt, r.value().payload.data(), sizeof(sentAt));
             }
             // The reader's per-event client work gates consumption.
             stack->cpu.acquire(stack->perEvent)
-                .onComplete([world, reader, alive, stack,
+                .onComplete(world->life.guard([world, reader, stack,
                              sentAt](const Result<sim::Unit>&) {
-                    if (!*alive) return;
                     if (sentAt > 0) world->e2e.record(world->exec().now() - sentAt);
                     ++world->drainedEvents;
                     world->consumed.add(1, world->exec().now());
                     pumpReader(world, reader, stack);
-                });
-        });
+                }));
+        }));
 }
 
 /// Wraps a baseline consumer delivery through a consumer-side client stack:

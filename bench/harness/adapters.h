@@ -14,6 +14,7 @@
 #include "bench/harness/workload.h"
 #include "client/event_reader.h"
 #include "cluster/pravega_cluster.h"
+#include "sim/lifetime.h"
 
 namespace pravega::bench {
 
@@ -77,14 +78,12 @@ struct PravegaWorld {
     std::shared_ptr<client::ReaderGroup> group;
     std::vector<std::unique_ptr<client::EventReader>> readers;
     std::vector<Producer> producers;
-    LatencyHistogram e2e;
+    obs::LatencyHistogram e2e;
     ConsumeStats consumed;
-    std::shared_ptr<bool> alive = std::make_shared<bool>(true);
 
     sim::Machine& exec() { return cluster->machine(); }
     uint64_t drainedEvents = 0;
-
-    ~PravegaWorld() { *alive = false; }
+    sim::Lifetime life;  // declared last: voids reader pumps before teardown
 };
 
 std::unique_ptr<PravegaWorld> makePravega(const PravegaOptions& opt);
@@ -107,7 +106,7 @@ struct KafkaWorld {
     std::vector<std::unique_ptr<baselines::KafkaProducer>> kproducers;
     std::vector<std::unique_ptr<baselines::KafkaConsumer>> kconsumers;
     std::vector<Producer> producers;
-    LatencyHistogram e2e;
+    obs::LatencyHistogram e2e;
     ConsumeStats consumed;
 
     sim::Machine& exec() { return *execHolder; }
@@ -141,7 +140,7 @@ struct PulsarWorld {
     std::vector<std::unique_ptr<baselines::PulsarProducer>> pproducers;
     std::vector<std::unique_ptr<baselines::PulsarConsumer>> pconsumers;
     std::vector<Producer> producers;
-    LatencyHistogram e2e;
+    obs::LatencyHistogram e2e;
     ConsumeStats consumed;
 
     sim::Machine& exec() { return *execHolder; }

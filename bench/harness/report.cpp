@@ -148,7 +148,7 @@ void Report::add(const std::string& series, const RunStats& s,
 
 void Report::addE2e(const std::string& series, const RunStats& s,
                     double consumedEventsPerSec, uint32_t eventBytes,
-                    const LatencyHistogram& e2e, const obs::MetricsRegistry* metrics) {
+                    const obs::LatencyHistogram& e2e, const obs::MetricsRegistry* metrics) {
     printStandardHeader();
     double mbps = consumedEventsPerSec * eventBytes / (1024.0 * 1024.0);
     std::printf("%-34s %12.0f %12.0f %9.2f %9.2f %9.2f %9.2f  (consumer side)\n",

@@ -62,7 +62,7 @@ public:
     /// percentiles come from the consumers' e2e histogram; offered rate and
     /// event size from the producer-side stats.
     void addE2e(const std::string& series, const RunStats& s, double consumedEventsPerSec,
-                uint32_t eventBytes, const LatencyHistogram& e2e,
+                uint32_t eventBytes, const obs::LatencyHistogram& e2e,
                 const obs::MetricsRegistry* metrics = nullptr);
 
     /// Free-form row: ordered (column, value) pairs, printed as key=value.

@@ -7,7 +7,7 @@ namespace pravega::bench {
 
 namespace {
 struct RunCtx {
-    LatencyHistogram hist;
+    obs::LatencyHistogram hist;
     uint64_t ackedInWindow = 0;
     uint64_t errors = 0;
     sim::TimePoint windowStart = 0;

@@ -15,10 +15,6 @@
 
 namespace pravega::bench {
 
-/// The harness records latency with the observability layer's log-bucketed
-/// histogram (one histogram implementation in the tree; see src/obs/).
-using LatencyHistogram = obs::LatencyHistogram;
-
 /// One producer's send entry point. `ack(ok)` may be null (unsampled).
 using SendFn = std::function<void(std::string_view key, uint32_t size,
                                   std::function<void(bool ok)> ack)>;

@@ -235,7 +235,7 @@ echo "== perf gate: engine events/sec vs committed baseline =="
 # The copy budget is deterministic and always enforced. The events/sec floor
 # is wall-clock and only meaningful on an unsanitized build on the reference
 # container; BENCH_PERF_GATE=0 skips it (scripts/check.sh sets this for the
-# ASan/UBSan/tsan suites, where the engine legitimately runs 3-8x slower).
+# ASan/UBSan suites, where the engine legitimately runs 3-8x slower).
 python3 - "${DET_A}/BENCH_micro_core.json" bench/baselines/BENCH_micro_core_baseline.json \
   "${BENCH_PERF_GATE:-1}" <<'PY'
 import json, sys

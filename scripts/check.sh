@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + ctest in the default configuration, then the
 # same suite under AddressSanitizer and UndefinedBehaviorSanitizer via the
-# PRAVEGA_SANITIZE CMake option, then a focused ThreadSanitizer pass over
-# the sim/chaos/detect/obs suites (the sim is single-threaded by design —
-# per-core shards are cooperatively scheduled, not OS threads — and tsan
-# documents that neither the sharded Machine substrate nor the detection
-# layer introduced hidden threading). Each configuration gets its own tree.
+# PRAVEGA_SANITIZE CMake option. Each configuration gets its own tree. There
+# is no ThreadSanitizer pass: the simulation is single-threaded by design
+# (per-core shards are cooperatively scheduled, not OS threads).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
@@ -27,5 +25,4 @@ run_suite() {
 run_suite plain ""
 run_suite asan address
 run_suite ubsan undefined
-run_suite tsan thread "sim_test|chaos_test|detect_test|obs_test|workload_test|rebalance_test"
 echo "All checks passed."

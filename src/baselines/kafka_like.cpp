@@ -215,19 +215,17 @@ void KafkaProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck ac
 }
 
 void KafkaProducer::armLinger(int partition) {
-    uint64_t epoch = ++lingerEpoch_[partition];
-    cluster_.exec_.schedule(cluster_.cfg_.lingerTime, [this, partition, epoch]() {
-        auto it = lingerEpoch_.find(partition);
-        if (it == lingerEpoch_.end() || it->second != epoch) return;
+    auto fire = [this, partition]() {
         auto bit = open_.find(partition);
         if (bit != open_.end() && bit->second.events > 0) closeBatch(partition);
-    });
+    };
+    cluster_.exec_.schedule(cluster_.cfg_.lingerTime, linger_[partition].guard(fire));
 }
 
 void KafkaProducer::closeBatch(int partition) {
     auto it = open_.find(partition);
     if (it == open_.end() || it->second.events == 0) return;
-    ++lingerEpoch_[partition];
+    linger_[partition].reset();
     Batch batch = std::move(it->second);
     open_.erase(it);
     int leader = cluster_.topics_.at(topic_).partitions[static_cast<size_t>(partition)].leader;
@@ -251,8 +249,8 @@ void KafkaProducer::trySend(int brokerId) {
         ++inFlight_[brokerId];
         uint64_t wire = requestBytes + cluster_.cfg_.wireOverheadBytes;
         sim::HostId brokerHost = cluster_.brokers_[static_cast<size_t>(brokerId)].host;
-        cluster_.net_.send(clientHost_, brokerHost, wire, [this, request, requestBytes,
-                                                           brokerId, brokerHost]() {
+        cluster_.net_.send(clientHost_, brokerHost, wire,
+                           life_.guard([this, request, requestBytes, brokerId, brokerHost]() {
             // All batches in the request are appended (to their partitions)
             // concurrently; the response returns when every one is done.
             auto remaining = std::make_shared<size_t>(request->size());
@@ -260,23 +258,23 @@ void KafkaProducer::trySend(int brokerId) {
             for (auto& batch : *request) {
                 cluster_.produce(
                     topic_, batch.partition, batch.bytes, batch.events, batch.openedAt,
-                    [this, request, requestBytes, brokerId, brokerHost, remaining,
-                     worst](Status s) {
+                    life_.guard([this, request, requestBytes, brokerId, brokerHost, remaining,
+                                 worst](Status s) {
                         if (!s.isOk()) *worst = s;
                         if (--*remaining > 0) return;
                         cluster_.net_.send(
                             brokerHost, clientHost_, cluster_.cfg_.wireOverheadBytes,
-                            [this, request, requestBytes, brokerId, worst]() {
+                            life_.guard([this, request, requestBytes, brokerId, worst]() {
                                 --inFlight_[brokerId];
                                 pendingBytes_ -= std::min(pendingBytes_, requestBytes);
                                 for (auto& batch : *request) {
                                     for (auto& a : batch.acks) a(*worst);
                                 }
                                 trySend(brokerId);
-                            });
-                    });
+                            }));
+                    }));
             }
-        });
+        }));
     }
 }
 
@@ -295,8 +293,7 @@ KafkaConsumer::KafkaConsumer(KafkaCluster& cluster, sim::HostId clientHost, std:
       clientHost_(clientHost),
       topic_(std::move(topic)),
       partition_(partition),
-      onDelivery_(std::move(onDelivery)),
-      alive_(std::make_shared<bool>(true)) {
+      onDelivery_(std::move(onDelivery)) {
     auto* part = cluster_.find(topic_, partition_);
     if (part) {
         part->hasConsumer = true;
@@ -305,18 +302,13 @@ KafkaConsumer::KafkaConsumer(KafkaCluster& cluster, sim::HostId clientHost, std:
     fetchLoop();
 }
 
-KafkaConsumer::~KafkaConsumer() { *alive_ = false; }
-
 void KafkaConsumer::fetchLoop() {
     auto* part = cluster_.find(topic_, partition_);
     if (!part) return;
-    auto alive = alive_;
 
     if (part->records.empty() || part->records.back().endOffset <= offset_) {
         // Long poll: wake when the next produce lands.
-        part->waiters.push_back([this, alive]() {
-            if (*alive) fetchLoop();
-        });
+        part->waiters.push_back(life_.guard([this]() { fetchLoop(); }));
         return;
     }
     // Deliver all available batches in one fetch response.
@@ -337,17 +329,15 @@ void KafkaConsumer::fetchLoop() {
     int leader = part->leader;
     sim::HostId brokerHost = cluster_.brokers_[static_cast<size_t>(leader)].host;
     auto& broker = cluster_.brokers_[static_cast<size_t>(leader)];
-    broker.cpu->execute(bytes).onComplete([this, alive, out = std::move(out), bytes,
-                                           brokerHost](const Result<sim::Unit>&) {
-        cluster_.net_.send(brokerHost, clientHost_, bytes + cluster_.cfg_.wireOverheadBytes,
-                           [this, alive, out]() {
-                               if (!*alive) return;
-                               for (const auto& rec : out) {
-                                   onDelivery_(rec.events, rec.bytes,
-                                               cluster_.exec_.now() - rec.producedAt);
-                               }
-                               fetchLoop();
-                           });
+    auto deliver = life_.guard([this, out = std::move(out)]() {
+        for (const auto& rec : out) {
+            onDelivery_(rec.events, rec.bytes, cluster_.exec_.now() - rec.producedAt);
+        }
+        fetchLoop();
+    });
+    broker.cpu->execute(bytes).onComplete([deliver, bytes, brokerHost, &cluster = cluster_,
+                                           host = clientHost_](const Result<sim::Unit>&) {
+        cluster.net_.send(brokerHost, host, bytes + cluster.cfg_.wireOverheadBytes, deliver);
     });
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
 
@@ -100,11 +101,12 @@ private:
     std::map<int, Batch> open_;                 // partition → open batch
     std::map<int, std::deque<Batch>> queued_;   // broker → ready batches
     std::map<int, int> inFlight_;               // broker → outstanding requests
-    std::map<int, uint64_t> lingerEpoch_;
+    std::map<int, sim::Lifetime> linger_;  // reset when the batch closes
     uint64_t pendingBytes_ = 0;
     int stickyPartition_ = 0;
     uint64_t stickyBytes_ = 0;
     uint64_t rngState_;
+    sim::Lifetime life_;  // request round trips
 };
 
 /// Consumer handle: long-poll fetch of one partition, reporting per-batch
@@ -115,7 +117,6 @@ public:
 
     KafkaConsumer(KafkaCluster& cluster, sim::HostId clientHost, std::string topic,
                   int partition, Delivery onDelivery);
-    ~KafkaConsumer();
 
 private:
     friend class KafkaCluster;
@@ -127,7 +128,7 @@ private:
     int partition_;
     Delivery onDelivery_;
     int64_t offset_ = 0;
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 class KafkaCluster {
@@ -192,7 +193,6 @@ private:
     std::vector<Broker> brokers_;
     std::map<std::string, Topic> topics_;
     uint64_t bytesProduced_ = 0;
-    uint64_t flushEpoch_ = 0;
 };
 
 }  // namespace pravega::baselines

@@ -213,19 +213,17 @@ void PulsarProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck2 
 }
 
 void PulsarProducer::armTimer(int partition) {
-    uint64_t epoch = ++timerEpoch_[partition];
-    cluster_.exec_.schedule(cluster_.cfg_.batchTime, [this, partition, epoch]() {
-        auto it = timerEpoch_.find(partition);
-        if (it == timerEpoch_.end() || it->second != epoch) return;
+    auto fire = [this, partition]() {
         auto bit = open_.find(partition);
         if (bit != open_.end() && bit->second.events > 0) closeBatch(partition);
-    });
+    };
+    cluster_.exec_.schedule(cluster_.cfg_.batchTime, timers_[partition].guard(fire));
 }
 
 void PulsarProducer::closeBatch(int partition) {
     auto it = open_.find(partition);
     if (it == open_.end() || it->second.events == 0) return;
-    ++timerEpoch_[partition];
+    timers_[partition].reset();
     queued_[partition].push_back(std::move(it->second));
     open_.erase(it);
     trySend(partition);
@@ -247,22 +245,22 @@ void PulsarProducer::trySend(int partition) {
         sim::HostId brokerHost =
             cluster_.brokers_[static_cast<size_t>(part->broker)].host;
         uint64_t wire = batch->bytes + cluster_.cfg_.wireOverheadBytes;
-        cluster_.net_.send(clientHost_, brokerHost, wire, [this, batch, partition,
-                                                           brokerHost]() {
+        cluster_.net_.send(clientHost_, brokerHost, wire,
+                           life_.guard([this, batch, partition, brokerHost]() {
             cluster_.produce(
                 topic_, partition, batch->bytes, batch->events, batch->withKeys,
                 batch->openedAt,
-                [this, batch, partition, brokerHost](Status s) {
+                life_.guard([this, batch, partition, brokerHost](Status s) {
                     cluster_.net_.send(brokerHost, clientHost_,
                                        cluster_.cfg_.wireOverheadBytes,
-                                       [this, batch, partition, s]() {
+                                       life_.guard([this, batch, partition, s]() {
                                            outstanding_[partition] -= std::min(
                                                outstanding_[partition], batch->bytes);
                                            for (auto& a : batch->acks) a(s);
                                            trySend(partition);
-                                       });
-                });
-        });
+                                       }));
+                }));
+        }));
     }
 }
 
@@ -281,8 +279,7 @@ PulsarConsumer::PulsarConsumer(PulsarCluster& cluster, sim::HostId clientHost,
       clientHost_(clientHost),
       topic_(std::move(topic)),
       partition_(partition),
-      onDelivery_(std::move(onDelivery)),
-      alive_(std::make_shared<bool>(true)) {
+      onDelivery_(std::move(onDelivery)) {
     auto* part = cluster_.find(topic_, partition_);
     if (part) {
         part->hasConsumer = true;
@@ -293,8 +290,6 @@ PulsarConsumer::PulsarConsumer(PulsarCluster& cluster, sim::HostId clientHost,
     catchUpLoop();
 }
 
-PulsarConsumer::~PulsarConsumer() { *alive_ = false; }
-
 int64_t PulsarConsumer::backlogBytes() const {
     auto* part = const_cast<PulsarCluster&>(cluster_).find(topic_, partition_);
     return part ? part->length - offset_ : 0;
@@ -303,7 +298,6 @@ int64_t PulsarConsumer::backlogBytes() const {
 void PulsarConsumer::catchUpLoop() {
     auto* part = cluster_.find(topic_, partition_);
     if (!part) return;
-    auto alive = alive_;
     auto& broker = cluster_.brokers_[static_cast<size_t>(part->broker)];
     sim::HostId brokerHost = broker.host;
 
@@ -313,24 +307,22 @@ void PulsarConsumer::catchUpLoop() {
         // "no configuration achieved read > write throughput").
         uint64_t block = std::min<uint64_t>(cluster_.cfg_.offloadReadBlockBytes,
                                             static_cast<uint64_t>(part->offloadedUpTo - offset_));
-        cluster_.offloadStore_->get(block).onComplete([this, alive, block, brokerHost,
+        cluster_.offloadStore_->get(block).onComplete(life_.guard([this, block, brokerHost,
                                                        part](const Result<sim::Unit>&) {
-            if (!*alive) return;
-            auto& b = cluster_.brokers_[static_cast<size_t>(part->broker)];
-            b.cpu->execute(block).onComplete([this, alive, block,
-                                              brokerHost](const Result<sim::Unit>&) {
-                cluster_.net_.send(brokerHost, clientHost_,
-                                   block + cluster_.cfg_.wireOverheadBytes,
-                                   [this, alive, block]() {
-                                       if (!*alive) return;
-                                       offset_ += static_cast<int64_t>(block);
-                                       auto* p = cluster_.find(topic_, partition_);
-                                       if (p) p->consumerOffset = offset_;
-                                       onDelivery_(0, block, 0);
-                                       catchUpLoop();
-                                   });
+            auto deliver = life_.guard([this, block]() {
+                offset_ += static_cast<int64_t>(block);
+                auto* p = cluster_.find(topic_, partition_);
+                if (p) p->consumerOffset = offset_;
+                onDelivery_(0, block, 0);
+                catchUpLoop();
             });
-        });
+            auto& b = cluster_.brokers_[static_cast<size_t>(part->broker)];
+            b.cpu->execute(block).onComplete([deliver, block, brokerHost, &cluster = cluster_,
+                                              host = clientHost_](const Result<sim::Unit>&) {
+                cluster.net_.send(brokerHost, host, block + cluster.cfg_.wireOverheadBytes,
+                                  deliver);
+            });
+        }));
         return;
     }
 
@@ -359,9 +351,7 @@ void PulsarConsumer::catchUpLoop() {
         }
         if (bytes == 0) {
             // Key-ordered hold: try again next dispatch tick.
-            part->waiters.push_back([this, alive]() {
-                if (*alive) catchUpLoop();
-            });
+            part->waiters.push_back(life_.guard([this]() { catchUpLoop(); }));
             return;
         }
         if (newOffset == part->length && offset_ == 0 && part->offloadedUpTo == 0 &&
@@ -376,26 +366,22 @@ void PulsarConsumer::catchUpLoop() {
         // Routing keys change the dispatch LATENCY (the hold above), not
         // throughput (§5.5); the single-threaded dispatcher charges per
         // delivery regardless.
+        auto deliver = life_.guard([this, bytes, events, oldest]() {
+            onDelivery_(events, bytes, cluster_.exec_.now() - oldest);
+            catchUpLoop();
+        });
         broker.dispatcher
             ->acquire(cluster_.cfg_.dispatchCost + sim::transferTime(bytes, 4.0e9))
-            .onComplete([this, alive, bytes, events, oldest,
-                         brokerHost](const Result<sim::Unit>&) {
-                cluster_.net_.send(brokerHost, clientHost_,
-                                   bytes + cluster_.cfg_.wireOverheadBytes,
-                                   [this, alive, bytes, events, oldest]() {
-                                       if (!*alive) return;
-                                       onDelivery_(events, bytes,
-                                                   cluster_.exec_.now() - oldest);
-                                       catchUpLoop();
-                                   });
+            .onComplete([deliver, bytes, brokerHost, &cluster = cluster_,
+                         host = clientHost_](const Result<sim::Unit>&) {
+                cluster.net_.send(brokerHost, host, bytes + cluster.cfg_.wireOverheadBytes,
+                                  deliver);
             });
         return;
     }
 
     // At the tail: wait for the dispatcher to wake us.
-    part->waiters.push_back([this, alive]() {
-        if (*alive) catchUpLoop();
-    });
+    part->waiters.push_back(life_.guard([this]() { catchUpLoop(); }));
 }
 
 std::unique_ptr<PulsarProducer> PulsarCluster::makeProducer(sim::HostId clientHost,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
 #include "wal/ledger_handle.h"
@@ -113,9 +114,10 @@ private:
     std::map<int, Batch> open_;
     std::map<int, std::deque<Batch>> queued_;    // partition → ready batches
     std::map<int, uint64_t> outstanding_;        // partition → in-flight bytes
-    std::map<int, uint64_t> timerEpoch_;
+    std::map<int, sim::Lifetime> timers_;  // reset when the batch closes
     int rrPartition_ = 0;
     uint64_t rngState_;
+    sim::Lifetime life_;  // request round trips
 };
 
 class PulsarConsumer {
@@ -126,7 +128,6 @@ public:
     /// reads, §5.7); otherwise tail consumption.
     PulsarConsumer(PulsarCluster& cluster, sim::HostId clientHost, std::string topic,
                    int partition, bool fromEarliest, Delivery onDelivery);
-    ~PulsarConsumer();
 
     int64_t backlogBytes() const;
 
@@ -141,7 +142,7 @@ private:
     Delivery onDelivery_;
     int64_t offset_ = 0;
     bool catchingUp_ = false;
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 class PulsarCluster {

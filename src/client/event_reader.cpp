@@ -19,34 +19,24 @@ EventReader::EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerH
       controller_(controller),
       name_(std::move(readerName)),
       cfg_(cfg),
-      sync_(exec, net, readerHost, std::move(syncUri)),
-      alive_(std::make_shared<bool>(true)) {
+      sync_(exec, net, readerHost, std::move(syncUri)) {
     sync_.updateState([this](const ReaderGroupState&) {
              return std::optional<Bytes>(ReaderGroupState::makeAddReader(name_));
          })
-        .onComplete([this, alive = alive_](const Result<bool>&) {
-            if (*alive) rebalance();
-        });
+        .onComplete(life_.guard([this](const Result<bool>&) { rebalance(); }));
     syncTick();
 }
 
-EventReader::~EventReader() {
-    *alive_ = false;
-    closed_ = true;
-    ++timerEpoch_;
-}
-
 void EventReader::syncTick() {
-    uint64_t epoch = ++timerEpoch_;
-    exec_.scheduleWeak(cfg_.syncInterval, [this, epoch, alive = alive_]() {
-        if (!*alive || closed_ || epoch != timerEpoch_) return;
-        sync_.fetchUpdates().onComplete([this, alive](const Result<sim::Unit>&) {
-            if (!*alive || closed_) return;
+    exec_.scheduleWeak(cfg_.syncInterval, life_.guard([this]() {
+        if (closed_) return;
+        sync_.fetchUpdates().onComplete(life_.guard([this](const Result<sim::Unit>&) {
+            if (closed_) return;
             rebalance();
             handleEndedSegments();
             syncTick();
-        });
-    });
+        }));
+    }));
 }
 
 void EventReader::rebalance() {
@@ -67,14 +57,13 @@ void EventReader::rebalance() {
                 *offset = it->second;
                 return ReaderGroupState::makeAcquire(name_, target);
             })
-            .onComplete([this, target, offset, alive = alive_](const Result<bool>& r) {
-                if (!*alive) return;
+            .onComplete(life_.guard([this, target, offset](const Result<bool>& r) {
                 updateInFlight_ = false;
                 if (r.isOk() && r.value()) {
                     openSegment(target, *offset);
                     rebalance();  // maybe acquire more
                 }
-            });
+            }));
         return;
     }
 
@@ -96,12 +85,11 @@ void EventReader::rebalance() {
                     if (it->second.size() <= s.fairShare()) return std::nullopt;
                     return ReaderGroupState::makeRelease(name_, target, position);
                 })
-                .onComplete([this, target, alive = alive_](const Result<bool>& r) {
-                    if (!*alive) return;
+                .onComplete(life_.guard([this, target](const Result<bool>& r) {
                     updateInFlight_ = false;
                     releasing_.erase(target);
                     if (r.isOk() && r.value()) streams_.erase(target);
-                });
+                }));
             return;
         }
     }
@@ -198,9 +186,7 @@ void EventReader::handleEndedSegments() {
                 streamName.isOk() && controller_.isScaling(streamName.value());
             if (scalePending) {
                 completing_.erase(segment);
-                exec_.schedule(sim::msec(5), [this, alive = alive_]() {
-                    if (*alive) handleEndedSegments();
-                });
+                exec_.schedule(sim::msec(5), life_.guard([this]() { handleEndedSegments(); }));
                 return;
             }
         }
@@ -212,13 +198,12 @@ void EventReader::handleEndedSegments() {
                 }
                 return ReaderGroupState::makeCompleted(name_, segment, succ);
             })
-            .onComplete([this, segment, alive = alive_](const Result<bool>&) {
-                if (!*alive) return;
+            .onComplete(life_.guard([this, segment](const Result<bool>&) {
                 completing_.erase(segment);
                 streams_.erase(segment);
                 rebalance();
                 handleEndedSegments();
-            });
+            }));
         return;  // streams_ may mutate; re-entered via the completion
     }
 }
@@ -226,7 +211,6 @@ void EventReader::handleEndedSegments() {
 void EventReader::close() {
     if (closed_) return;
     closed_ = true;
-    ++timerEpoch_;
     // Release every segment at its current position, then deregister.
     std::vector<std::pair<SegmentId, int64_t>> positions;
     for (auto& [seg, stream] : streams_) positions.emplace_back(seg, stream->position());

@@ -12,6 +12,7 @@
 #include "client/reader_group.h"
 #include "client/segment_input_stream.h"
 #include "client/state_synchronizer.h"
+#include "sim/lifetime.h"
 
 namespace pravega::client {
 
@@ -26,7 +27,6 @@ public:
     EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerHost,
                 controller::Controller& controller, controller::SegmentUri syncUri,
                 std::string readerName, ReaderConfig cfg);
-    ~EventReader();
 
     EventReader(const EventReader&) = delete;
     EventReader& operator=(const EventReader&) = delete;
@@ -70,9 +70,8 @@ private:
     SegmentId rrLast_ = 0;  // round-robin cursor across assigned segments
     bool updateInFlight_ = false;
     bool closed_ = false;
-    uint64_t timerEpoch_ = 0;
     uint64_t eventsRead_ = 0;
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::client

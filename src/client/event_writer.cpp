@@ -21,10 +21,7 @@ EventWriter::EventWriter(sim::Core& exec, sim::Network& net, sim::HostId clientH
       scopedStream_(std::move(scopedStream)),
       cfg_(cfg),
       writerId_(nextWriterId_++),
-      rng_(writerId_ * 0x9E3779B97F4A7C15ULL),
-      alive_(std::make_shared<bool>(true)) {}
-
-EventWriter::~EventWriter() { *alive_ = false; }
+      rng_(writerId_ * 0x9E3779B97F4A7C15ULL) {}
 
 Status EventWriter::initialize() {
     auto segments = controller_.getCurrentSegments(scopedStream_);
@@ -117,10 +114,9 @@ void EventWriter::rerouteWhenReady(SegmentId segment,
             }
             return;
         }
-        exec_.schedule(sim::msec(5), [this, alive = alive_, segment, attempt]() {
-            if (!*alive) return;
+        exec_.schedule(sim::msec(5), life_.guard([this, segment, attempt]() {
             rerouteWhenReady(segment, {}, attempt + 1);
-        });
+        }));
         return;
     }
 

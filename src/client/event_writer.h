@@ -14,6 +14,7 @@
 
 #include "client/segment_output_stream.h"
 #include "controller/controller.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 #include "sim/random.h"
 
@@ -23,7 +24,6 @@ class EventWriter {
 public:
     EventWriter(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
                 controller::Controller& controller, std::string scopedStream, WriterConfig cfg);
-    ~EventWriter();
 
     /// Fetches the stream's current segments; must succeed before writing.
     Status initialize();
@@ -67,12 +67,11 @@ private:
     /// while the scale event is still committing.
     std::map<SegmentId, std::vector<SegmentOutputStream::ResendEvent>> rerouting_;
     sim::Rng rng_;
-    /// Liveness token for the successor-retry timer (set false on destroy).
-    std::shared_ptr<bool> alive_;
     uint64_t eventsWritten_ = 0;
     uint64_t rerouted_ = 0;
 
     static WriterId nextWriterId_;
+    sim::Lifetime life_;  // successor-retry timer
 };
 
 }  // namespace pravega::client

@@ -19,25 +19,30 @@ KeyValueTable::KeyValueTable(sim::Core& exec, sim::Network& net, sim::HostId cli
       net_(net),
       clientHost_(clientHost),
       uri_(std::move(uri)),
-      wireOverhead_(wireOverhead),
-      alive_(std::make_shared<bool>(true)) {}
+      wireOverhead_(wireOverhead) {}
 
 template <typename T, typename Fn>
 sim::Future<T> KeyValueTable::roundTrip(uint64_t requestBytes, Fn serverFn) {
     sim::Promise<T> done;
     auto fut = done.future();
-    auto alive = alive_;
+    // The table may be destroyed while the request is on the wire; the
+    // caller's future then fails instead of hanging.
     net_.send(clientHost_, uri_.store->host(), requestBytes + wireOverhead_,
-              [this, alive, serverFn = std::move(serverFn), done]() mutable {
+              [this, life = life_.token(), serverFn = std::move(serverFn), done]() mutable {
+                  if (!life.alive()) {
+                      done.setError(Err::Cancelled, "kv table closed");
+                      return;
+                  }
                   auto* container = uri_.store->container(uri_.containerId);
                   if (!container) {
                       done.setError(Err::ContainerOffline, "kv table container offline");
                       return;
                   }
-                  serverFn(container).onComplete([this, alive, done](const Result<T>& r) mutable {
-                      net_.send(uri_.store->host(), clientHost_, wireOverhead_,
-                                [done, r]() mutable { done.complete(r); });
-                  });
+                  serverFn(container).onComplete(
+                      [&net = net_, from = uri_.store->host(), to = clientHost_,
+                       bytes = wireOverhead_, done](const Result<T>& r) mutable {
+                          net.send(from, to, bytes, [done, r]() mutable { done.complete(r); });
+                      });
               });
     return fut;
 }

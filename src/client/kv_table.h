@@ -13,6 +13,7 @@
 #include "controller/controller.h"
 #include "segmentstore/table_segment.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 
 namespace pravega::client {
@@ -55,7 +56,7 @@ private:
     sim::HostId clientHost_;
     controller::SegmentUri uri_;
     uint64_t wireOverhead_;
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::client

@@ -17,12 +17,9 @@ SegmentInputStream::SegmentInputStream(sim::Core& exec, sim::Network& net,
       cfg_(cfg),
       onData_(std::move(onData)),
       bufferStart_(startOffset),
-      fetchOffset_(startOffset),
-      alive_(std::make_shared<bool>(true)) {
+      fetchOffset_(startOffset) {
     ensureFetching();
 }
-
-SegmentInputStream::~SegmentInputStream() { *alive_ = false; }
 
 std::optional<Bytes> SegmentInputStream::readNextEvent() {
     if (failed_) return std::nullopt;  // a failed stream stays failed
@@ -56,10 +53,8 @@ std::optional<Bytes> SegmentInputStream::readNextEvent() {
 void SegmentInputStream::ensureFetching() {
     if (fetching_ || endOfSegment_ || failed_) return;
     fetching_ = true;
-    auto alive = alive_;
     uint64_t wire = cfg_.wireOverheadBytes;
-    net_.send(clientHost_, uri_.store->host(), wire, [this, alive]() {
-        if (!*alive) return;
+    net_.send(clientHost_, uri_.store->host(), wire, life_.guard([this]() {
         auto* container = uri_.store->container(uri_.containerId);
         if (!container) {
             failed_ = true;
@@ -68,20 +63,17 @@ void SegmentInputStream::ensureFetching() {
             return;
         }
         uri_.store->chargeRequest(uri_.containerId, 0)
-            .thenAsync([this, container](const sim::Unit&) {
-            return container->read(uri_.record.id, fetchOffset_,
-                                   static_cast<int64_t>(cfg_.fetchBytes));
+            .thenAsync([container, id = uri_.record.id, offset = fetchOffset_,
+                        bytes = static_cast<int64_t>(cfg_.fetchBytes)](const sim::Unit&) {
+            return container->read(id, offset, bytes);
         })
-        .onComplete([this, alive](const Result<segmentstore::ReadResult>& r) {
-            if (!*alive) return;
+        .onComplete(life_.guard([this](const Result<segmentstore::ReadResult>& r) {
             uint64_t respBytes =
                 cfg_.wireOverheadBytes + (r.isOk() ? r.value().data.size() : 0);
-            net_.send(uri_.store->host(), clientHost_, respBytes, [this, alive, r]() {
-                if (!*alive) return;
-                onFetchComplete(r);
-            });
-        });
-    });
+            net_.send(uri_.store->host(), clientHost_, respBytes,
+                      life_.guard([this, r]() { onFetchComplete(r); }));
+        }));
+    }));
 }
 
 void SegmentInputStream::onFetchComplete(const Result<segmentstore::ReadResult>& r) {
@@ -89,9 +81,7 @@ void SegmentInputStream::onFetchComplete(const Result<segmentstore::ReadResult>&
     if (!r.isOk()) {
         // Container offline mid-read is transient during failover; retry.
         if (r.code() == Err::ContainerOffline || r.code() == Err::Timeout) {
-            exec_.schedule(sim::msec(10), [this, alive = alive_]() {
-                if (*alive) ensureFetching();
-            });
+            exec_.schedule(sim::msec(10), life_.guard([this]() { ensureFetching(); }));
             return;
         }
         failed_ = true;

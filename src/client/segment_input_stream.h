@@ -11,6 +11,7 @@
 #include "common/buf_chain.h"
 #include "common/bytes.h"
 #include "controller/controller.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 
 namespace pravega::client {
@@ -29,7 +30,6 @@ public:
     SegmentInputStream(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
                        controller::SegmentUri uri, int64_t startOffset, ReaderConfig cfg,
                        std::function<void()> onData);
-    ~SegmentInputStream();
 
     SegmentInputStream(const SegmentInputStream&) = delete;
     SegmentInputStream& operator=(const SegmentInputStream&) = delete;
@@ -75,8 +75,7 @@ private:
     bool fetching_ = false;
     bool endOfSegment_ = false;
     bool failed_ = false;
-    /// Cleared on destruction; in-flight callbacks check it first.
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::client

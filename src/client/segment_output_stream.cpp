@@ -26,7 +26,6 @@ SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
       writerId_(writerId),
       cfg_(cfg),
       onSealed_(std::move(onSealed)),
-      alive_(std::make_shared<bool>(true)),
       rttEstimateNs_(static_cast<double>(cfg.initialRttGuess)),
       mBlocks_(exec.metrics().counter("client.writer.blocks")),
       mEvents_(exec.metrics().counter("client.writer.events")),
@@ -36,23 +35,19 @@ SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
     // SetupAppend handshake: fetch the last event number recorded for this
     // writer id so a resumed writer continues from the right place (§3.2).
     setupDone_ = false;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, [this, alive = alive_]() {
-        if (!*alive) return;
+    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, life_.guard([this]() {
         auto* container = store_->container(containerId_);
         int64_t last = container
                            ? container->getWriterLastEventNumber(segment_, writerId_)
                            : segmentstore::AttributeIndex::kNullValue;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive, last]() {
-            if (!*alive) return;
+        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, life_.guard([this, last]() {
             nextEventNumber_ =
                 last == segmentstore::AttributeIndex::kNullValue ? 0 : last + 1;
             setupDone_ = true;
             trySend();
-        });
-    });
+        }));
+    }));
 }
-
-SegmentOutputStream::~SegmentOutputStream() { *alive_ = false; }
 
 void SegmentOutputStream::write(BytesView payload, double keyHash, EventAck ack) {
     if (sealedSeen_) {
@@ -94,21 +89,18 @@ void SegmentOutputStream::maybeCloseBlock() {
     }
     if (!closeTimerArmed_) {
         closeTimerArmed_ = true;
-        uint64_t epoch = ++closeTimerEpoch_;
         sim::Duration wait = std::min<sim::Duration>(
             cfg_.maxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
-        exec_.schedule(std::max<sim::Duration>(wait, 1), [this, alive = alive_, epoch]() {
-            if (!*alive) return;
-            if (epoch != closeTimerEpoch_) return;
+        exec_.schedule(std::max<sim::Duration>(wait, 1), closeTimer_.guard([this]() {
             closeTimerArmed_ = false;
             if (!open_.events.empty()) closeBlock();
-        });
+        }));
     }
 }
 
 void SegmentOutputStream::closeBlock() {
     closeTimerArmed_ = false;
-    ++closeTimerEpoch_;
+    closeTimer_.reset();
     if (open_.events.empty()) return;
     // Event numbers are NOT assigned here: the SetupAppend handshake may
     // still be in flight, and numbering must start after the server's last
@@ -156,27 +148,23 @@ void SegmentOutputStream::sendBlock(Block block) {
     SharedBuf payload = block.payload;  // shared ref; retained for retransmit
     int64_t lastEventNumber = block.lastEventNumber;
     uint32_t eventCount = static_cast<uint32_t>(block.events.size());
-    uint64_t epoch = connectionEpoch_;
     inFlight_.push_back(std::move(block));
 
-    auto deliverAck = [this, alive = alive_, epoch, wireBytes](const Result<int64_t>& r) {
-        if (!*alive) return;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive, epoch, r,
-                                                                        wireBytes]() {
-            if (!*alive) return;
-            if (epoch != connectionEpoch_) return;  // stale connection
-            outstandingBytes_ -= std::min(outstandingBytes_, wireBytes);
-            assert(!inFlight_.empty());
-            Block acked = std::move(inFlight_.front());
-            inFlight_.pop_front();
-            sim::TimePoint at = acked.sentAt;
-            onBlockAck(std::move(acked), r, at);
-        });
-    };
+    // An ack that arrives after the connection dropped is ignored.
+    auto onAck = connection_.guard([this, wireBytes](const Result<int64_t>& r) {
+        outstandingBytes_ -= std::min(outstandingBytes_, wireBytes);
+        assert(!inFlight_.empty());
+        Block acked = std::move(inFlight_.front());
+        inFlight_.pop_front();
+        sim::TimePoint at = acked.sentAt;
+        onBlockAck(std::move(acked), r, at);
+    });
+    auto deliverAck = life_.guard([this, onAck](const Result<int64_t>& r) {
+        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [onAck, r]() { onAck(r); });
+    });
 
     net_.send(clientHost_, store_->host(), wireBytes,
-              [this, alive = alive_, payload, lastEventNumber, eventCount, deliverAck]() {
-                  if (!*alive) return;
+              life_.guard([this, payload, lastEventNumber, eventCount, deliverAck]() {
                   auto* container = store_->container(containerId_);
                   if (!container) {
                       deliverAck(Result<int64_t>(Err::ContainerOffline, "container moved"));
@@ -193,7 +181,7 @@ void SegmentOutputStream::sendBlock(Block block) {
                                                    lastEventNumber, eventCount);
                       })
                       .onComplete(deliverAck);
-              });
+              }));
 }
 
 void SegmentOutputStream::onBlockAck(Block block, const Result<int64_t>& result,
@@ -211,7 +199,7 @@ void SegmentOutputStream::onBlockAck(Block block, const Result<int64_t>& result,
     }
     if (result.code() == Err::Sealed) {
         sealedSeen_ = true;
-        ++connectionEpoch_;  // ignore acks for any later in-flight block
+        connection_.reset();  // ignore acks for any later in-flight block
         handleSealed(std::move(block));
         return;
     }
@@ -249,7 +237,7 @@ void SegmentOutputStream::handleSealed(Block first) {
     harvest(open_);
     open_ = Block{};
     outstandingBytes_ = 0;
-    ++closeTimerEpoch_;
+    closeTimer_.reset();
     closeTimerArmed_ = false;
     PLOG_DEBUG(kLog, "segment %llu sealed; re-routing %zu events",
                static_cast<unsigned long long>(segment_), events.size());
@@ -260,21 +248,19 @@ void SegmentOutputStream::simulateReconnect() {
     // Drop the connection: ignore in-flight acks, re-run the handshake and
     // retransmit everything unacknowledged. Server-side dedup (by writer id
     // and event number) turns retransmitted duplicates into no-op acks.
-    ++connectionEpoch_;
+    connection_.reset();
     setupDone_ = false;
     while (!inFlight_.empty()) {
         sendQueue_.push_front(std::move(inFlight_.back()));
         inFlight_.pop_back();
     }
     outstandingBytes_ = 0;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, [this, alive = alive_]() {
-        if (!*alive) return;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive]() {
-            if (!*alive) return;
+    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, life_.guard([this]() {
+        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, life_.guard([this]() {
             setupDone_ = true;
             trySend();
-        });
-    });
+        }));
+    }));
 }
 
 }  // namespace pravega::client

@@ -22,6 +22,7 @@
 #include "common/result.h"
 #include "segmentstore/segment_store.h"
 #include "segmentstore/types.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 
 namespace pravega::client {
@@ -64,7 +65,6 @@ public:
                         segmentstore::SegmentStore* store, uint32_t containerId,
                         SegmentId segment, WriterId writerId, WriterConfig cfg,
                         SealedHandler onSealed);
-    ~SegmentOutputStream();
 
     SegmentOutputStream(const SegmentOutputStream&) = delete;
     SegmentOutputStream& operator=(const SegmentOutputStream&) = delete;
@@ -120,7 +120,6 @@ private:
 
     Block open_;
     bool closeTimerArmed_ = false;
-    uint64_t closeTimerEpoch_ = 0;
 
     std::deque<Block> sendQueue_;   // closed blocks waiting for window
     std::deque<Block> inFlight_;    // sent, not yet acked
@@ -129,9 +128,6 @@ private:
     int64_t nextEventNumber_ = 0;
     bool sealedSeen_ = false;
     bool setupDone_ = false;
-    uint64_t connectionEpoch_ = 0;
-    /// Cleared on destruction; in-flight network callbacks check it first.
-    std::shared_ptr<bool> alive_;
 
     // Tracking heuristic state.
     double rttEstimateNs_;
@@ -144,6 +140,10 @@ private:
     obs::LatencyHistogram& mBlockBytes_;
     obs::LatencyHistogram& mBatchWaitNs_;
     obs::LatencyHistogram& mRttNs_;
+
+    sim::Lifetime life_;
+    sim::Lifetime closeTimer_;
+    sim::Lifetime connection_;  // reset when the connection drops
 };
 
 }  // namespace pravega::client

@@ -19,11 +19,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "client/framing.h"
 #include "common/bytes.h"
 #include "controller/controller.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 
 namespace pravega::client {
@@ -39,10 +41,8 @@ public:
           net_(net),
           clientHost_(clientHost),
           uri_(std::move(uri)),
-          wireOverhead_(wireOverheadBytes),
-          alive_(std::make_shared<bool>(true)) {}
+          wireOverhead_(wireOverheadBytes) {}
 
-    ~StateSynchronizer() { *alive_ = false; }
     StateSynchronizer(const StateSynchronizer&) = delete;
     StateSynchronizer& operator=(const StateSynchronizer&) = delete;
 
@@ -53,16 +53,13 @@ public:
     sim::Future<sim::Unit> fetchUpdates() {
         sim::Promise<sim::Unit> done;
         auto fut = done.future();
-        enqueue([this, alive = alive_, done]() mutable {
-            doFetch([this, alive, done](Status s) mutable {
+        enqueue([this, done]() mutable {
+            doFetch([this, done](Status s) mutable {
                 if (s.isOk()) {
-                    done.setValue(sim::Unit{});
+                    finish(done, sim::Unit{});
                 } else {
-                    done.setError(s);
+                    finish(done, s);
                 }
-                // Completing the promise may run a continuation that destroys
-                // this synchronizer; only pump the op queue if we survived.
-                if (*alive) finishOp();
             });
         });
         return fut;
@@ -97,6 +94,14 @@ private:
         busy_ = false;
         pump();
     }
+    /// Completes a caller's promise, then pumps the op queue unless a
+    /// continuation of that promise destroyed this synchronizer.
+    template <typename T>
+    void finish(sim::Promise<T>& done, std::type_identity_t<Result<T>> r) {
+        auto life = life_.token();
+        done.complete(std::move(r));
+        if (life.alive()) finishOp();
+    }
 
     void applyUpdates(BytesView data) {
         size_t pos = 0;
@@ -123,54 +128,45 @@ private:
             return;
         }
         int64_t want = info.value().length - offset_;
-        auto alive = alive_;
-        net_.send(clientHost_, uri_.store->host(), wireOverhead_, [this, alive, want,
-                                                                   cb = std::move(cb)]() mutable {
-            if (!*alive) return;
-            auto* c = uri_.store->container(uri_.containerId);
-            if (!c) {
-                cb(Status(Err::ContainerOffline, ""));
-                return;
-            }
-            c->read(uri_.record.id, offset_, want)
-                .onComplete([this, alive, cb = std::move(cb)](
-                                const Result<segmentstore::ReadResult>& r) mutable {
-                    if (!*alive) return;
-                    uint64_t bytes = wireOverhead_ + (r.isOk() ? r.value().data.size() : 0);
-                    net_.send(uri_.store->host(), clientHost_, bytes,
-                              [this, alive, cb = std::move(cb), r]() mutable {
-                                  if (!*alive) return;
-                                  if (!r.isOk()) {
-                                      cb(r.status());
-                                      return;
-                                  }
-                                  applyUpdates(BytesView(r.value().data));
-                                  cb(Status::ok());
-                              });
-                });
-        });
+        net_.send(clientHost_, uri_.store->host(), wireOverhead_,
+                  life_.guard([this, want, cb = std::move(cb)]() mutable {
+                      auto* c = uri_.store->container(uri_.containerId);
+                      if (!c) {
+                          cb(Status(Err::ContainerOffline, ""));
+                          return;
+                      }
+                      c->read(uri_.record.id, offset_, want)
+                          .onComplete(life_.guard([this, cb = std::move(cb)](
+                                          const Result<segmentstore::ReadResult>& r) mutable {
+                              uint64_t bytes =
+                                  wireOverhead_ + (r.isOk() ? r.value().data.size() : 0);
+                              net_.send(uri_.store->host(), clientHost_, bytes,
+                                        life_.guard([this, cb = std::move(cb), r]() mutable {
+                                            if (!r.isOk()) {
+                                                cb(r.status());
+                                                return;
+                                            }
+                                            applyUpdates(BytesView(r.value().data));
+                                            cb(Status::ok());
+                                        }));
+                          }));
+                  }));
     }
 
     void attempt(std::function<std::optional<Bytes>(const State&)> generator,
                  sim::Promise<bool> done, int tries) {
-        auto alive = alive_;
         if (tries > 64) {
-            done.setError(Err::Timeout, "state synchronizer contention");
-            if (*alive) finishOp();
+            finish(done, Status(Err::Timeout, "state synchronizer contention"));
             return;
         }
-        doFetch([this, alive, generator = std::move(generator), done,
-                 tries](Status fetched) mutable {
-            if (!*alive) return;
+        doFetch([this, generator = std::move(generator), done, tries](Status fetched) mutable {
             if (!fetched.isOk()) {
-                done.setError(fetched);
-                if (*alive) finishOp();
+                finish(done, fetched);
                 return;
             }
             auto update = generator(state_);
             if (!update) {
-                done.setValue(false);
-                if (*alive) finishOp();
+                finish(done, false);
                 return;
             }
             Bytes framed;
@@ -179,29 +175,24 @@ private:
             int64_t expected = offset_;
             net_.send(
                 clientHost_, uri_.store->host(), buf.size() + wireOverhead_,
-                [this, alive, buf, expected, generator = std::move(generator), done,
-                 tries]() mutable {
-                    if (!*alive) return;
+                life_.guard([this, buf, expected, generator = std::move(generator), done,
+                             tries]() mutable {
                     auto* c = uri_.store->container(uri_.containerId);
                     if (!c) {
-                        done.setError(Err::ContainerOffline);
-                        if (*alive) finishOp();
+                        finish(done, Status(Err::ContainerOffline));
                         return;
                     }
                     c->conditionalAppend(uri_.record.id, buf, expected)
-                        .onComplete([this, alive, buf, generator = std::move(generator), done,
-                                     tries](const Result<int64_t>& r) mutable {
-                            if (!*alive) return;
+                        .onComplete(life_.guard([this, buf, generator = std::move(generator),
+                                                 done, tries](const Result<int64_t>& r) mutable {
                             net_.send(
                                 uri_.store->host(), clientHost_, wireOverhead_,
-                                [this, alive, buf, generator = std::move(generator), done,
-                                 tries, r]() mutable {
-                                    if (!*alive) return;
+                                life_.guard([this, buf, generator = std::move(generator), done,
+                                             tries, r]() mutable {
                                     if (r.isOk()) {
                                         // Our own update: apply locally.
                                         applyUpdates(buf.view());
-                                        done.setValue(true);
-                                        if (*alive) finishOp();
+                                        finish(done, true);
                                         return;
                                     }
                                     if (r.code() == Err::BadOffset) {
@@ -210,11 +201,10 @@ private:
                                                 tries + 1);
                                         return;
                                     }
-                                    done.complete(r.status());
-                                    if (*alive) finishOp();
-                                });
-                        });
-                });
+                                    finish(done, r.status());
+                                }));
+                        }));
+                }));
         });
     }
 
@@ -227,7 +217,7 @@ private:
     int64_t offset_ = 0;
     bool busy_ = false;
     std::deque<std::function<void()>> pending_;
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::client

@@ -141,7 +141,7 @@ void ChaosSchedule::arm() {
     sim::Core& exec = cluster_.executor();
     for (const ChaosEvent& ev : timeline_) {
         exec.schedule(std::max<sim::Duration>(0, ev.at - exec.now()),
-                      [this, ev]() { execute(ev); });
+                      life_.guard([this, ev]() { execute(ev); }));
     }
 }
 

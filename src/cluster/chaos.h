@@ -23,6 +23,7 @@
 
 #include "cluster/pravega_cluster.h"
 #include "detect/scoring.h"
+#include "sim/lifetime.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -122,6 +123,7 @@ private:
     std::vector<std::string> executed_;
     int plannedStoreCrashes_ = 0;
     bool armed_ = false;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::cluster

@@ -34,9 +34,6 @@ PravegaCluster::PravegaCluster(ClusterConfig cfg)
         case LtsKind::NoOp:
             lts_ = std::make_unique<lts::NoOpChunkStorage>();
             break;
-        case LtsKind::FileSystem:
-            lts_ = std::make_unique<lts::FileSystemChunkStorage>(cfg_.fsRoot);
-            break;
     }
     if (cfg_.faultInjectLts) {
         faultLts_ = std::make_unique<lts::FaultInjectionChunkStorage>(machine_, *lts_,

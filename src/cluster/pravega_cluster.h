@@ -28,7 +28,7 @@
 
 namespace pravega::cluster {
 
-enum class LtsKind { InMemory, SimulatedObject, NoOp, FileSystem };
+enum class LtsKind { InMemory, SimulatedObject, NoOp };
 
 struct ClusterConfig {
     int segmentStores = 3;
@@ -43,7 +43,6 @@ struct ClusterConfig {
 
     LtsKind ltsKind = LtsKind::SimulatedObject;
     sim::ObjectStoreModel::Config lts;
-    std::string fsRoot = "/tmp/pravega-lts";
 
     /// Wraps the LTS backend in a FaultInjectionChunkStorage so the chaos
     /// layer can inject outages/slowdowns (`faultLts()` exposes the knobs).

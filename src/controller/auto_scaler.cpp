@@ -15,11 +15,6 @@ AutoScaler::AutoScaler(sim::Core& exec, Controller& controller,
                        std::vector<segmentstore::SegmentStore*> stores, Config cfg)
     : exec_(exec), controller_(controller), stores_(std::move(stores)), cfg_(cfg) {}
 
-AutoScaler::~AutoScaler() {
-    stop();
-    *alive_ = false;
-}
-
 void AutoScaler::start() {
     if (running_) return;
     running_ = true;
@@ -28,17 +23,15 @@ void AutoScaler::start() {
 }
 
 void AutoScaler::armTimer() {
-    uint64_t epoch = ++epoch_;
-    exec_.scheduleWeak(cfg_.pollInterval, [this, alive = alive_, epoch]() {
-        if (!*alive || !running_ || epoch != epoch_) return;
+    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
         tick();
         armTimer();
-    });
+    }));
 }
 
 void AutoScaler::stop() {
     running_ = false;
-    ++epoch_;
+    timer_.reset();
 }
 
 void AutoScaler::tick() {

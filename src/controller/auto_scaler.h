@@ -13,6 +13,7 @@
 
 #include "controller/controller.h"
 #include "segmentstore/segment_store.h"
+#include "sim/lifetime.h"
 #include "sim/machine.h"
 
 namespace pravega::controller {
@@ -36,7 +37,6 @@ public:
         : AutoScaler(exec, controller, std::move(stores), Config{}) {}
     AutoScaler(sim::Core& exec, Controller& controller,
                std::vector<segmentstore::SegmentStore*> stores, Config cfg);
-    ~AutoScaler();
 
     void start();
     void stop();
@@ -71,14 +71,10 @@ private:
     std::map<std::string, sim::TimePoint> lastScale_;
     std::map<SegmentId, double> lastRates_;
     sim::TimePoint lastTick_ = 0;
-    uint64_t epoch_ = 0;
     bool running_ = false;
     uint64_t splits_ = 0;
     uint64_t merges_ = 0;
-    /// Cleared on destruction; the poll timer checks it before touching
-    /// `this` (a weak timer can outlive the scaler — same pattern as the
-    /// PR-9 storage-writer/cache-policy fixes).
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+    sim::Lifetime timer_;  // poll timer; reset by stop()
 };
 
 }  // namespace pravega::controller

@@ -16,11 +16,6 @@ Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Co
     retentionTick();
 }
 
-Controller::~Controller() {
-    stopped_ = true;
-    *alive_ = false;
-}
-
 segmentstore::SegmentContainer* Controller::containerOf(SegmentId segment) const {
     uint32_t cid = pravega::containerFor(segment, registry_.containerCount());
     return registry_.containerFor(cid);
@@ -128,9 +123,8 @@ sim::Future<sim::Unit> Controller::scaleStream(
     sim::Promise<sim::Unit> done;
     auto fut = done.future();
     createSegmentObjects(scopedName, created)
-        .onComplete([this, alive = alive_, scopedName, toSeal, created,
+        .onComplete(life_.guard([this, scopedName, toSeal, created,
                      done](const Result<sim::Unit>& r) mutable {
-            if (!*alive) return;
             if (!r.isOk()) {
                 scaling_.erase(scopedName);
                 done.setError(r.status());
@@ -140,9 +134,8 @@ sim::Future<sim::Unit> Controller::scaleStream(
             for (SegmentId id : toSeal) {
                 if (auto* c = containerOf(id)) seals.push_back(c->seal(id));
             }
-            sim::whenAll(seals).onComplete([this, alive, scopedName, toSeal, created,
+            sim::whenAll(seals).onComplete(life_.guard([this, scopedName, toSeal, created,
                                             done](const Result<sim::Unit>&) mutable {
-                if (!*alive) return;
                 auto sit = streams_.find(scopedName);
                 if (sit == streams_.end()) {
                     scaling_.erase(scopedName);
@@ -161,8 +154,8 @@ sim::Future<sim::Unit> Controller::scaleStream(
                           scopedName.c_str(), toSeal.size(), created.size(),
                           sit->second.currentEpoch().epoch);
                 done.setValue(sim::Unit{});
-            });
-        });
+            }));
+        }));
     return fut;
 }
 
@@ -295,16 +288,14 @@ void Controller::persist(const std::string& scopedName) {
 // ---- retention ---------------------------------------------------------
 
 void Controller::retentionTick() {
-    uint64_t epoch = ++retentionEpoch_;
-    exec_.scheduleWeak(cfg_.retentionInterval, [this, alive = alive_, epoch]() {
-        if (!*alive || stopped_ || epoch != retentionEpoch_) return;
+    exec_.scheduleWeak(cfg_.retentionInterval, life_.guard([this]() {
         for (auto& [name, rec] : streams_) {
             if (rec.config().retention.type == RetentionType::Size) {
                 enforceRetention(name, rec);
             }
         }
         retentionTick();
-    });
+    }));
 }
 
 void Controller::enforceRetention(const std::string& scopedName, StreamRecord& rec) {

@@ -17,6 +17,7 @@
 #include "segmentstore/segment_store.h"
 #include "sim/machine.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 
 namespace pravega::controller {
 
@@ -40,7 +41,6 @@ public:
     Controller(sim::Core& exec, cluster::ContainerRegistry& registry)
         : Controller(exec, registry, Config{}) {}
     Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg);
-    ~Controller();
 
     // ---- stream life-cycle --------------------------------------------
     Status createScope(const std::string& scope);
@@ -105,11 +105,9 @@ private:
     std::map<SegmentId, SegmentRecord> internalSegments_;
     std::map<std::string, bool> scaling_;
     uint32_t nextSegmentNumber_ = 1;
-    uint64_t retentionEpoch_ = 0;
-    bool stopped_ = false;
-    /// Cleared on destruction; async continuations check it first (container
-    /// shutdown cascades can fire completions during teardown).
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+    /// Scale continuations and the retention timer. Declared last: container
+    /// shutdown cascades can fire completions during teardown.
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::controller

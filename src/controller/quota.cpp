@@ -21,11 +21,6 @@ TenantQuotaManager::TenantQuotaManager(sim::Core& exec, Controller& controller,
       cfg_(cfg),
       throttleCounter_(exec.metrics().counter("ctrl.quota.throttles")) {}
 
-TenantQuotaManager::~TenantQuotaManager() {
-    stop();
-    *alive_ = false;
-}
-
 void TenantQuotaManager::setQuota(const std::string& tenant, double bytesPerSec) {
     tenants_[tenant].quotaBytesPerSec = bytesPerSec;
 }
@@ -39,16 +34,14 @@ void TenantQuotaManager::start() {
 
 void TenantQuotaManager::stop() {
     running_ = false;
-    ++epoch_;
+    timer_.reset();
 }
 
 void TenantQuotaManager::armTimer() {
-    uint64_t epoch = ++epoch_;
-    exec_.scheduleWeak(cfg_.pollInterval, [this, alive = alive_, epoch]() {
-        if (!*alive || !running_ || epoch != epoch_) return;
+    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
         tick();
         armTimer();
-    });
+    }));
 }
 
 double TenantQuotaManager::allowance(const std::string& tenant) const {

@@ -17,6 +17,7 @@
 
 #include "controller/controller.h"
 #include "segmentstore/segment_store.h"
+#include "sim/lifetime.h"
 #include "sim/machine.h"
 
 namespace pravega::obs {
@@ -43,7 +44,6 @@ public:
         : TenantQuotaManager(exec, controller, std::move(stores), Config{}) {}
     TenantQuotaManager(sim::Core& exec, Controller& controller,
                        std::vector<segmentstore::SegmentStore*> stores, Config cfg);
-    ~TenantQuotaManager();
 
     /// Sets (or replaces) a tenant's ingest quota in bytes/sec.
     void setQuota(const std::string& tenant, double bytesPerSec);
@@ -86,11 +86,10 @@ private:
     std::map<SegmentId, uint64_t> prevBytes_;
     sim::TimePoint lastTick_ = 0;
     uint64_t throttleTicks_ = 0;
-    uint64_t epoch_ = 0;
     bool running_ = false;
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
     obs::Counter& throttleCounter_;
+    sim::Lifetime timer_;  // poll timer; reset by stop()
 };
 
 }  // namespace pravega::controller

@@ -21,11 +21,6 @@ Rebalancer::Rebalancer(sim::Core& exec, cluster::ContainerRegistry& registry,
       ticksCounter_(exec.metrics().counter("ctrl.rebalance.ticks")),
       ratioGauge_(exec.metrics().gauge("ctrl.rebalance.load_ratio")) {}
 
-Rebalancer::~Rebalancer() {
-    stop();
-    *alive_ = false;
-}
-
 void Rebalancer::start() {
     if (running_) return;
     running_ = true;
@@ -35,16 +30,14 @@ void Rebalancer::start() {
 
 void Rebalancer::stop() {
     running_ = false;
-    ++epoch_;
+    timer_.reset();
 }
 
 void Rebalancer::armTimer() {
-    uint64_t epoch = ++epoch_;
-    exec_.scheduleWeak(cfg_.pollInterval, [this, alive = alive_, epoch]() {
-        if (!*alive || !running_ || epoch != epoch_) return;
+    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
         tick();
         armTimer();
-    });
+    }));
 }
 
 void Rebalancer::tick() {

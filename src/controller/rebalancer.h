@@ -19,6 +19,7 @@
 
 #include "cluster/coordination.h"
 #include "segmentstore/segment_store.h"
+#include "sim/lifetime.h"
 #include "sim/machine.h"
 
 namespace pravega::obs {
@@ -49,7 +50,6 @@ public:
         : Rebalancer(exec, registry, std::move(stores), Config{}) {}
     Rebalancer(sim::Core& exec, cluster::ContainerRegistry& registry,
                std::vector<segmentstore::SegmentStore*> stores, Config cfg);
-    ~Rebalancer();
 
     void start();
     void stop();
@@ -83,15 +83,12 @@ private:
     double lastRatio_ = 0.0;
     uint64_t ticks_ = 0;
     uint64_t moves_ = 0;
-    uint64_t epoch_ = 0;
     bool running_ = false;
-    /// Cleared on destruction; the poll timer checks it first (the timer
-    /// may already be queued when the rebalancer is destroyed).
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
     obs::Counter& movesCounter_;
     obs::Counter& ticksCounter_;
     obs::Gauge& ratioGauge_;
+    sim::Lifetime timer_;  // poll timer; reset by stop()
 };
 
 }  // namespace pravega::controller

@@ -40,8 +40,6 @@ Monitor::Monitor(sim::Core& exec, Config cfg)
       mAlarms_(exec.metrics().counter("detect.alarms")),
       mSkipped_(exec.metrics().counter("detect.samples.skipped")) {}
 
-Monitor::~Monitor() { *alive_ = false; }
-
 void Monitor::addProbe(ProbeConfig probe) {
     auto ps = std::make_unique<ProbeState>();
     ps->cfg = std::move(probe);
@@ -157,10 +155,7 @@ void Monitor::start() {
     lastTick_ = exec_.now();
     if (armed_) return;
     armed_ = true;
-    auto alive = alive_;
-    exec_.scheduleWeak(cfg_.period, [this, alive]() {
-        if (*alive) tick();
-    });
+    exec_.scheduleWeak(cfg_.period, life_.guard([this]() { tick(); }));
 }
 
 void Monitor::stop() {
@@ -201,10 +196,7 @@ void Monitor::tick() {
     ++ticks_;
     mTicks_.inc();
     lastTick_ = now;
-    auto alive = alive_;
-    exec_.scheduleWeak(cfg_.period, [this, alive]() {
-        if (*alive) tick();
-    });
+    exec_.scheduleWeak(cfg_.period, life_.guard([this]() { tick(); }));
 }
 
 std::optional<double> Monitor::sample(ProbeState& ps) {

@@ -26,6 +26,7 @@
 #include "detect/detectors.h"
 #include "detect/slo.h"
 #include "obs/metrics.h"
+#include "sim/lifetime.h"
 #include "sim/machine.h"
 
 namespace pravega::detect {
@@ -59,7 +60,6 @@ public:
 
     explicit Monitor(sim::Core& exec) : Monitor(exec, Config()) {}
     Monitor(sim::Core& exec, Config cfg);
-    ~Monitor();
     Monitor(const Monitor&) = delete;
     Monitor& operator=(const Monitor&) = delete;
 
@@ -135,11 +135,12 @@ private:
     bool armed_ = false;  // a timer chain is in flight
     sim::TimePoint lastTick_ = 0;
     uint64_t ticks_ = 0;
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
     obs::Counter& mTicks_;
     obs::Counter& mAlarms_;
     obs::Counter& mSkipped_;
+
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::detect

@@ -38,13 +38,10 @@ uint64_t ArchiveTierChunkStorage::cartridgeFor(const std::string& name) const {
 void ArchiveTierChunkStorage::scheduleScan() {
     if (cfg_.scanInterval <= 0) return;
     // Weak timer: the scan must not keep runUntilIdle() from terminating.
-    // The liveness token guards against the tier being destroyed while the
-    // timer (owned by the machine) is still in flight.
-    exec_.scheduleWeak(cfg_.scanInterval, [this, alive = alive_] {
-        if (!*alive) return;
+    exec_.scheduleWeak(cfg_.scanInterval, life_.guard([this] {
         scanNow();
         scheduleScan();
-    });
+    }));
 }
 
 Future<Unit> ArchiveTierChunkStorage::create(const std::string& name) {

@@ -37,6 +37,7 @@
 
 #include "lts/chunk_storage.h"
 #include "obs/metrics.h"
+#include "sim/lifetime.h"
 #include "sim/machine.h"
 #include "sim/models.h"
 
@@ -69,7 +70,6 @@ public:
     ArchiveTierChunkStorage(sim::Core& exec, ChunkStorage& primary, Config cfg);
     ArchiveTierChunkStorage(sim::Core& exec, ChunkStorage& primary)
         : ArchiveTierChunkStorage(exec, primary, Config{}) {}
-    ~ArchiveTierChunkStorage() override { *alive_ = false; }
 
     sim::Future<sim::Unit> create(const std::string& name) override;
     sim::Future<sim::Unit> append(const std::string& name, BufChain data) override;
@@ -110,9 +110,6 @@ private:
     sim::Core& exec_;
     ChunkStorage& primary_;
     Config cfg_;
-    /// Liveness token for the periodic scan timer (scheduleWeak holds a raw
-    /// `this` inside the machine, which can outlive this object).
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     InMemoryChunkStorage archMem_;  // archive data plane (timing via tape_)
     sim::TapeLibraryModel tape_;
     std::map<std::string, Meta> meta_;
@@ -127,6 +124,8 @@ private:
     obs::Counter& mReadBytes_;
     obs::Gauge& mArchivedBytes_;
     obs::Gauge& mPrimaryBytes_;
+
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::lts

@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "common/logging.h"
 
@@ -102,83 +100,6 @@ Future<Unit> SimulatedObjectStorage::remove(const std::string& name) {
 
 Result<ChunkInfo> SimulatedObjectStorage::stat(const std::string& name) const {
     return mem_.stat(name);
-}
-
-// ------------------------------------------------------------ FileSystem
-
-FileSystemChunkStorage::FileSystemChunkStorage(std::string rootDir) : root_(std::move(rootDir)) {
-    std::filesystem::create_directories(root_);
-}
-
-std::string FileSystemChunkStorage::pathFor(const std::string& name) const {
-    // Escape rather than substitute: mapping '/' to '_' would make chunks
-    // named "a/b" and "a_b" collide on the same file. '%' escapes itself so
-    // the mapping is injective.
-    std::string safe;
-    safe.reserve(name.size());
-    for (char c : name) {
-        if (c == '/') {
-            safe += "%2F";
-        } else if (c == '%') {
-            safe += "%25";
-        } else {
-            safe += c;
-        }
-    }
-    return root_ + "/" + safe;
-}
-
-Future<Unit> FileSystemChunkStorage::create(const std::string& name) {
-    if (sizes_.contains(name)) return fail(Err::AlreadyExists, "chunk exists");
-    std::ofstream f(pathFor(name), std::ios::binary | std::ios::trunc);
-    if (!f) return fail(Err::IoError, "cannot create chunk file");
-    sizes_[name] = 0;
-    return okUnit();
-}
-
-Future<Unit> FileSystemChunkStorage::append(const std::string& name, BufChain data) {
-    auto it = sizes_.find(name);
-    if (it == sizes_.end()) return fail(Err::NotFound, "no such chunk");
-    std::ofstream f(pathFor(name), std::ios::binary | std::ios::app);
-    if (!f) return fail(Err::IoError, "cannot open chunk file");
-    data.forEachFragment([&](const SharedBuf& frag) {
-        f.write(reinterpret_cast<const char*>(frag.data()),
-                static_cast<std::streamsize>(frag.size()));
-    });
-    if (!f) return fail(Err::IoError, "short write");
-    it->second += data.size();
-    totalBytes_ += data.size();
-    return okUnit();
-}
-
-Future<SharedBuf> FileSystemChunkStorage::read(const std::string& name, uint64_t offset,
-                                               uint64_t length) {
-    ++readOps_;
-    auto it = sizes_.find(name);
-    if (it == sizes_.end()) return Future<SharedBuf>::failed(Status(Err::NotFound, name));
-    if (offset > it->second) return Future<SharedBuf>::failed(Status(Err::BadOffset, name));
-    std::ifstream f(pathFor(name), std::ios::binary);
-    if (!f) return Future<SharedBuf>::failed(Status(Err::IoError, name));
-    f.seekg(static_cast<std::streamoff>(offset));
-    Bytes out(static_cast<size_t>(std::min<uint64_t>(length, it->second - offset)));
-    f.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(out.size()));
-    out.resize(static_cast<size_t>(f.gcount()));
-    return Future<SharedBuf>::ready(SharedBuf(std::move(out)));
-}
-
-Future<Unit> FileSystemChunkStorage::remove(const std::string& name) {
-    auto it = sizes_.find(name);
-    if (it == sizes_.end()) return fail(Err::NotFound, "no such chunk");
-    totalBytes_ -= it->second;
-    std::filesystem::remove(pathFor(name));
-    sizes_.erase(it);
-    return okUnit();
-}
-
-Result<ChunkInfo> FileSystemChunkStorage::stat(const std::string& name) const {
-    auto it = sizes_.find(name);
-    if (it == sizes_.end()) return Status(Err::NotFound, name);
-    return ChunkInfo{name, it->second};
 }
 
 // ------------------------------------------------------------------ NoOp

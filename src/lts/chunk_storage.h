@@ -3,7 +3,7 @@
 // Pravega stores segment data in LTS as *chunks* — contiguous ranges of
 // segment bytes with no extra metadata inside. The interface below is what
 // the storage writer programs against; backends model the paper's EFS/S3
-// (SimulatedObjectStorage), local testing (InMemory, FileSystem) and the
+// (SimulatedObjectStorage), local testing (InMemory) and the
 // paper's metadata-only test feature used in Fig 7a (NoOp).
 #pragma once
 
@@ -96,29 +96,6 @@ public:
 private:
     InMemoryChunkStorage mem_;
     sim::ObjectStoreModel model_;
-};
-
-/// Filesystem backend: real files under a root directory (synchronous I/O
-/// wrapped in ready futures). Used by the examples for actual persistence.
-class FileSystemChunkStorage : public ChunkStorage {
-public:
-    explicit FileSystemChunkStorage(std::string rootDir);
-
-    sim::Future<sim::Unit> create(const std::string& name) override;
-    sim::Future<sim::Unit> append(const std::string& name, BufChain data) override;
-    sim::Future<SharedBuf> read(const std::string& name, uint64_t offset,
-                                uint64_t length) override;
-    sim::Future<sim::Unit> remove(const std::string& name) override;
-    Result<ChunkInfo> stat(const std::string& name) const override;
-    uint64_t totalBytes() const override { return totalBytes_; }
-    uint64_t readOps() const override { return readOps_; }
-
-private:
-    std::string pathFor(const std::string& name) const;
-    std::string root_;
-    std::map<std::string, uint64_t> sizes_;
-    uint64_t totalBytes_ = 0;
-    uint64_t readOps_ = 0;
 };
 
 /// Metadata-only backend: accepts and immediately discards data. This is

@@ -54,7 +54,6 @@ SegmentContainer::SegmentContainer(sim::Core& exec, uint32_t containerId, wal::W
 
 SegmentContainer::~SegmentContainer() {
     if (!offline_) shutdown();
-    *alive_ = false;
 }
 
 SegmentContainer::SegmentMeta* SegmentContainer::findSegment(SegmentId id) {
@@ -109,7 +108,7 @@ void SegmentContainer::shutdown() {
     if (offline_) return;
     offline_ = true;
     storageWriter_->stop();
-    ++cacheTimerEpoch_;  // cancels the cache policy timer
+    cacheTimer_.reset();
     failAllPending(Status(Err::ContainerOffline, "container shut down"));
     PLOG_WARN(kLog, "container %u shut down", containerId_);
 }
@@ -123,9 +122,8 @@ void SegmentContainer::failAllPending(Status error) {
     for (auto& [seg, list] : waiters) {
         for (auto& w : list) w.wake.setError(error);
     }
-    // Drain the in-flight fetch table; late piece completions are dropped
-    // by the epoch bump.
-    ++fetchEpoch_;
+    // Drain the in-flight fetch table; late piece completions are dropped.
+    fetches_.reset();
     auto fetches = std::move(inflightFetches_);
     inflightFetches_.clear();
     for (auto& [seg, perSeg] : fetches) {
@@ -138,16 +136,10 @@ void SegmentContainer::failAllPending(Status error) {
 }
 
 void SegmentContainer::startCachePolicyTimer() {
-    uint64_t epoch = cacheTimerEpoch_;
-    // The liveness token must be checked before the epoch: the timer (owned
-    // by the machine) can fire after this container was destroyed, and even
-    // the epoch comparison would then read freed memory.
-    exec_.scheduleWeak(cfg_.cachePolicyInterval, [this, epoch, alive = alive_]() {
-        if (!*alive) return;
-        if (epoch != cacheTimerEpoch_ || offline_) return;
+    exec_.scheduleWeak(cfg_.cachePolicyInterval, cacheTimer_.guard([this]() {
         readIndex_.applyCachePolicy();
         startCachePolicyTimer();
-    });
+    }));
 }
 
 // ------------------------------------------------------------- admission
@@ -181,7 +173,7 @@ void SegmentContainer::admit(std::function<void()> fn) {
     mThrottleCount_.inc();
     mThrottleNs_.inc(static_cast<uint64_t>(at - exec_.now()));
     admitCursor_ = at;
-    exec_.schedule(at - exec_.now(), std::move(fn));
+    exec_.schedule(at - exec_.now(), admissions_.guard(std::move(fn)));
 }
 
 // ------------------------------------------------------------ public API
@@ -444,17 +436,16 @@ sim::Duration SegmentContainer::currentBatchDelay() const {
 void SegmentContainer::scheduleFrameTimer() {
     if (frameTimerArmed_) return;
     frameTimerArmed_ = true;
-    uint64_t epoch = ++frameTimerEpoch_;
-    exec_.schedule(currentBatchDelay(), [this, epoch]() {
-        if (epoch != frameTimerEpoch_ || offline_) return;
+    exec_.schedule(currentBatchDelay(), frameTimer_.guard([this]() {
+        if (offline_) return;
         frameTimerArmed_ = false;
         if (!openFrame_.ops.empty()) closeFrame();
-    });
+    }));
 }
 
 void SegmentContainer::closeFrame() {
     frameTimerArmed_ = false;
-    ++frameTimerEpoch_;  // cancel any armed timer
+    frameTimer_.reset();  // void any armed timer
     if (openFrame_.ops.empty()) return;
 
     auto frame = std::move(openFrame_);
@@ -811,11 +802,9 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         res.endOfSegment =
             meta->props.sealed &&
             offset + static_cast<int64_t>(res.data.size()) >= meta->appliedLength;
-        if (cfg_.readPipeline.enabled) {
-            int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
-            consumePrefetched(id, offset, readEnd);
-            noteSequentialHit(id, offset, readEnd, *meta);
-        }
+        int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
+        consumePrefetched(id, offset, readEnd);
+        noteSequentialHit(id, offset, readEnd, *meta);
         promise.setValue(std::move(res));
         return;
     }
@@ -857,11 +846,6 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         promise.setError(Err::IoError, "read did not converge");
         return;
     }
-    if (!cfg_.readPipeline.enabled) {
-        legacyFetch(id, miss, PendingRead{offset, maxBytes, std::move(promise), depth, counted});
-        return;
-    }
-
     // A demand miss over a range we prefetched means the prefetch was
     // evicted before use — charge it as waste.
     chargeWastedPrefetch(id, miss.offset, miss.offset + miss.length);
@@ -894,33 +878,6 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
     if (cfg_.readPipeline.readahead && fetched > start) {
         if (SegmentMeta* m = findSegment(id)) maybePrefetch(id, fetched, *m);
     }
-}
-
-void SegmentContainer::legacyFetch(SegmentId id, const ReadMiss& miss, PendingRead waiter) {
-    auto chunk = storageWriter_->findChunk(id, miss.offset);
-    if (!chunk) {
-        waiter.promise.setError(chunk.status());
-        return;
-    }
-    int64_t within = miss.offset - chunk.value().startOffset;
-    int64_t len = std::min(miss.length, chunk.value().length - within);
-    if (len <= 0) {
-        waiter.promise.setError(Err::IoError, "chunk metadata inconsistent with read index");
-        return;
-    }
-    mLtsFetches_.inc();
-    sim::TimePoint startedAt = exec_.now();
-    lts_.read(chunk.value().name, static_cast<uint64_t>(within), static_cast<uint64_t>(len))
-        .onComplete([this, id, missOffset = miss.offset, w = std::move(waiter),
-                     startedAt](const Result<SharedBuf>& r) mutable {
-            mDemandFetchNs_.record(exec_.now() - startedAt);
-            if (!r.isOk()) {
-                w.promise.setError(r.status());
-                return;
-            }
-            readIndex_.insertFromStorage(id, missOffset, r.value().view());
-            attemptRead(id, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
-        });
 }
 
 int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, bool prefetch,
@@ -970,15 +927,13 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
         mPrefetchIssued_.inc();
         prefetchInflightBytes_ += static_cast<uint64_t>(fetchEnd - start);
     }
-    uint64_t epoch = fetchEpoch_;
     int64_t pieceOffset = start;
     for (auto& piece : pieces) {
         int64_t insertAt = pieceOffset;
         pieceOffset += static_cast<int64_t>(piece.length);
         mLtsFetches_.inc();
         lts_.read(piece.name, piece.within, piece.length)
-            .onComplete([this, id, start, insertAt, epoch](const Result<SharedBuf>& r) {
-                if (epoch != fetchEpoch_ || offline_) return;
+            .onComplete(fetches_.guard([this, id, start, insertAt](const Result<SharedBuf>& r) {
                 Status st;
                 if (r.isOk()) {
                     readIndex_.insertFromStorage(id, insertAt, r.value().view());
@@ -986,7 +941,7 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
                     st = r.status();
                 }
                 finishFetchPiece(id, start, st);
-            });
+            }));
     }
     return fetchEnd;
 }
@@ -1046,7 +1001,7 @@ void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) 
 
 void SegmentContainer::maybePrefetch(SegmentId id, int64_t from, const SegmentMeta& meta) {
     const auto& rp = cfg_.readPipeline;
-    if (!rp.enabled || !rp.readahead || offline_) return;
+    if (!rp.readahead || offline_) return;
     // Only flushed data has chunks to prefetch from; the unflushed tail is
     // already in cache (and the eviction policy protects it — prefetch must
     // not change that, hence the utilization margin below).

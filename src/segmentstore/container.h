@@ -32,6 +32,7 @@
 #include "segmentstore/types.h"
 #include "sim/machine.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "wal/log_client.h"
 
 namespace pravega::segmentstore {
@@ -61,9 +62,6 @@ struct ContainerConfig {
     /// multi-chunk demand fetches, and budget-bounded segment readahead for
     /// catch-up readers.
     struct ReadPipelineConfig {
-        /// Master switch: false restores the legacy serial fetch-retry path
-        /// (no coalescing, no parallel multi-chunk fetch, no readahead).
-        bool enabled = true;
         /// Readahead ablation flag (Fig 12): prefetch the next windows into
         /// the block cache on a miss or a sequential-hit streak.
         bool readahead = true;
@@ -249,7 +247,6 @@ private:
     void failAllPending(Status error);
     void attemptRead(SegmentId id, int64_t offset, int64_t maxBytes,
                      sim::Promise<ReadResult> promise, int depth, bool counted);
-    void legacyFetch(SegmentId id, const ReadMiss& miss, PendingRead waiter);
     /// Starts an LTS fetch for [start, end) (parallel per-chunk pieces,
     /// capped at maxParallelChunkFetches). `demand` (when non-null) becomes
     /// the fetch's first waiter; on setup failure its promise is failed.
@@ -283,7 +280,6 @@ private:
 
     // Open frame + in-flight frames.
     PendingFrame openFrame_;
-    uint64_t frameTimerEpoch_ = 0;
     bool frameTimerArmed_ = false;
     uint64_t inFlightFrames_ = 0;
 
@@ -315,14 +311,9 @@ private:
     std::map<SegmentId, std::map<int64_t, InflightFetch>> inflightFetches_;
     std::map<SegmentId, SegmentReadState> readStates_;
     uint64_t prefetchInflightBytes_ = 0;
-    uint64_t fetchEpoch_ = 0;  // invalidates piece completions on shutdown
 
     uint64_t appliedOps_ = 0;
     bool offline_ = true;  // start() brings the container online
-    uint64_t cacheTimerEpoch_ = 0;
-    /// Liveness token for the cache-policy timer (scheduleWeak holds a raw
-    /// `this` inside the machine, which can outlive this container).
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
     // World-aggregate container metrics (cached registry instruments).
     obs::Counter& mOpsEnqueued_;
@@ -345,6 +336,11 @@ private:
     obs::LatencyHistogram& mWalCommitNs_;
     obs::LatencyHistogram& mDemandFetchNs_;
     obs::LatencyHistogram& mPrefetchFetchNs_;
+
+    sim::Lifetime frameTimer_;  // reset when a frame closes
+    sim::Lifetime cacheTimer_;  // reset at shutdown
+    sim::Lifetime fetches_;     // LTS piece completions; reset at shutdown
+    sim::Lifetime admissions_;  // ops held back by throttling
 };
 
 }  // namespace pravega::segmentstore

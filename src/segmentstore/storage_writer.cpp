@@ -50,47 +50,31 @@ StorageWriter::StorageWriter(sim::Core& exec, SegmentContainer& container,
 void StorageWriter::start() {
     if (running_) return;
     running_ = true;
-    uint64_t epoch = ++timerEpoch_;
-    exec_.scheduleWeak(cfg_.scanInterval, [this, epoch, alive = alive_]() {
-        if (!*alive) return;  // writer destroyed with the timer in flight
-        if (epoch != timerEpoch_ || !running_) return;
+    exec_.scheduleWeak(cfg_.scanInterval, timers_.guard([this]() {
         running_ = false;
         start();  // re-arm, then scan
         scan();
-    });
+    }));
     armCompactTimer();
 }
 
-// The flush-scan timer re-arms through start() (bumping timerEpoch_ every
-// tick), so the slower compaction timer keeps its own armed flag and epoch:
-// it survives scan re-arms but dies across stop() (which bumps the epoch AND
-// clears the armed flag, so the next start() arms a fresh timer). A stale
-// timer firing after a restart sees the epoch mismatch and returns without
-// touching compactArmed_ — that flag then describes the restart's timer.
+// The scan timer re-arms every tick through start(); the slower compaction
+// timer keeps its own armed flag so it survives those re-arms. Both die at
+// stop(), which also clears the flag so the next start() arms a fresh
+// compaction timer (a stale one never fires its body, so it never re-arms).
 void StorageWriter::armCompactTimer() {
     if (cfg_.compactMinChunkBytes == 0 || compactArmed_) return;
     compactArmed_ = true;
-    uint64_t epoch = compactEpoch_;
-    exec_.scheduleWeak(cfg_.compactInterval, [this, epoch, alive = alive_]() {
-        if (!*alive) return;  // writer destroyed with the timer in flight
-        if (epoch != compactEpoch_) return;  // stale: a stop() invalidated us,
-                                             // and compactArmed_ now belongs
-                                             // to a newer timer (if any)
+    exec_.scheduleWeak(cfg_.compactInterval, timers_.guard([this]() {
         compactArmed_ = false;
-        if (!running_) return;
         compactScan();
         armCompactTimer();
-    });
+    }));
 }
 
 void StorageWriter::stop() {
     running_ = false;
-    ++timerEpoch_;
-    ++compactEpoch_;
-    // The epoch bump orphaned any in-flight compaction timer; clear the armed
-    // flag so the next start() arms a fresh one instead of no-opping (the
-    // stale timer would otherwise never re-arm and compaction would stay dead
-    // across a stop()/start() cycle).
+    timers_.reset();
     compactArmed_ = false;
 }
 
@@ -150,7 +134,8 @@ void StorageWriter::notifyDeleted(SegmentId segment) {
 }
 
 void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
-    storage_.remove(name).onComplete([this, name, isRetry](const Result<sim::Unit>& r) {
+    storage_.remove(name).onComplete(life_.guard([this, name,
+                                                  isRetry](const Result<sim::Unit>& r) {
         if (r.isOk() || r.status().code() == Err::NotFound) return;
         if (!isRetry) {
             PLOG_WARN(kLog, "chunk remove failed (%s), retrying once: %s",
@@ -161,7 +146,7 @@ void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
         PLOG_WARN(kLog, "chunk remove retry failed (%s); orphaning %s",
                   r.status().toString().c_str(), name.c_str());
         mOrphanChunks_.add(1.0);
-    });
+    }));
 }
 
 void StorageWriter::scan() {
@@ -308,14 +293,14 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
             // waiting for the next scan tick (the drain must be limited by
             // LTS, not by the scan cadence).
             if (st.pendingBytes >= cfg_.flushSizeBytes && running_) {
-                exec_.post([this, segment]() {
+                exec_.post(life_.guard([this, segment]() {
                     auto it = segments_.find(segment);
                     if (it != segments_.end() && !it->second.flushing &&
                         !it->second.deleted && running_ &&
                         activeFlushes_ < cfg_.maxConcurrentFlushes) {
                         flushSegment(segment, it->second);
                     }
-                });
+                }));
             }
             return;
         }
@@ -323,7 +308,7 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
             auto& plan = (*plans)[i];
             uint64_t n = plan.data.size();
             storage_.append(plan.chunk, std::move(plan.data))
-                .onComplete([this, plans, runPlan, i, n,
+                .onComplete(life_.guard([this, plans, runPlan, i, n,
                              segment](const Result<sim::Unit>& r) {
                     auto& st2 = segments_[segment];
                     if (!r.isOk()) {
@@ -352,11 +337,11 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
                             }
                             (*runPlan)(i + 1);
                         });
-                });
+                }));
         };
         if ((*plans)[i].createChunk) {
             storage_.create((*plans)[i].chunk)
-                .onComplete([runAppend](const Result<sim::Unit>&) { runAppend(); });
+                .onComplete(life_.guard([runAppend](const Result<sim::Unit>&) { runAppend(); }));
         } else {
             runAppend();
         }
@@ -435,7 +420,7 @@ void StorageWriter::compactSegment(SegmentId segment, SegmentState& state) {
     for (size_t i = 0; i < victims->size(); ++i) {
         const auto& v = (*victims)[i];
         storage_.read(v.rec.name, 0, static_cast<uint64_t>(v.rec.length))
-            .onComplete([this, segment, victims, payloads, remaining, failed, i,
+            .onComplete(life_.guard([this, segment, victims, payloads, remaining, failed, i,
                          mergedName, mergedStart, mergedLen,
                          finish](const Result<SharedBuf>& r) {
                 if (!r.isOk() ||
@@ -451,7 +436,7 @@ void StorageWriter::compactSegment(SegmentId segment, SegmentState& state) {
                 BufChain merged;
                 for (auto& buf : *payloads) merged.append(std::move(buf));
                 storage_.create(mergedName)
-                    .onComplete([this, segment, victims, merged = std::move(merged),
+                    .onComplete(life_.guard([this, segment, victims, merged = std::move(merged),
                                  mergedName, mergedStart, mergedLen,
                                  finish](const Result<sim::Unit>& cr) mutable {
                         if (!cr.isOk()) {
@@ -459,7 +444,7 @@ void StorageWriter::compactSegment(SegmentId segment, SegmentState& state) {
                             return;
                         }
                         storage_.append(mergedName, std::move(merged))
-                            .onComplete([this, segment, victims, mergedName,
+                            .onComplete(life_.guard([this, segment, victims, mergedName,
                                          mergedStart, mergedLen,
                                          finish](const Result<sim::Unit>& ar) {
                                 if (!ar.isOk()) {
@@ -510,9 +495,9 @@ void StorageWriter::compactSegment(SegmentId segment, SegmentState& state) {
                                         }
                                         finish(true, "");
                                     });
-                            });
-                    });
-            });
+                            }));
+                    }));
+            }));
     }
 }
 

@@ -19,6 +19,7 @@
 #include "segmentstore/types.h"
 #include "sim/machine.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 
 namespace pravega::segmentstore {
 
@@ -59,7 +60,6 @@ class StorageWriter {
 public:
     StorageWriter(sim::Core& exec, SegmentContainer& container, lts::ChunkStorage& storage,
                   StorageWriterConfig cfg);
-    ~StorageWriter() { *alive_ = false; }
 
     void start();
     void stop();
@@ -131,21 +131,13 @@ private:
     lts::ChunkStorage& storage_;
     StorageWriterConfig cfg_;
 
-    /// Liveness token captured by the scan/compaction timers: scheduleWeak
-    /// callbacks hold a raw `this` and can outlive the writer (the machine
-    /// owns them), so a timer firing after destruction must bail before
-    /// touching members.
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-
     std::map<SegmentId, SegmentState> segments_;
     uint64_t pendingBytes_ = 0;
     uint64_t flushedBytes_ = 0;
     int activeFlushes_ = 0;
     bool running_ = false;
-    uint64_t timerEpoch_ = 0;
     int64_t compactGen_ = 0;  // uniquifies merged-chunk names
     bool compactArmed_ = false;
-    uint64_t compactEpoch_ = 0;
 
     /// Best-effort chunk removal with one retry; failures land on the
     /// `lts.orphan_chunks` gauge instead of being silently dropped.
@@ -160,6 +152,9 @@ private:
     obs::Gauge& mOrphanChunks_;
     obs::LatencyHistogram& mFlushNs_;
     obs::LatencyHistogram& mFlushBatchBytes_;
+
+    sim::Lifetime life_;    // LTS completions of flushes and compactions
+    sim::Lifetime timers_;  // scan + compaction timers; reset by stop()
 };
 
 }  // namespace pravega::segmentstore

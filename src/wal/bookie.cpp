@@ -79,11 +79,8 @@ void Bookie::maybeStartFlush() {
     mGroupEntries_.record(static_cast<sim::Duration>(inFlightAcks_.size()));
     sim::TimePoint flushStart = exec_.now();
     journal_.write(journalFileId_, bytes + entryCost, cfg_.journalSync)
-        .onComplete([this, epoch = epoch_, flushStart,
+        .onComplete(flush_.guard([this, flushStart,
                      records = std::move(records)](const Result<sim::Unit>&) mutable {
-            // Crashed mid-flush: the group is lost; crash() already failed
-            // the acks, and this completion belongs to a dead epoch.
-            if (epoch != epoch_) return;
             mSyncNs_.record(exec_.now() - flushStart);
             for (auto& rec : records) journalRecords_.push_back(std::move(rec));
             auto acks = std::move(inFlightAcks_);
@@ -91,7 +88,7 @@ void Bookie::maybeStartFlush() {
             flushInFlight_ = false;
             for (auto& p : acks) p.setValue(sim::Unit{});
             maybeStartFlush();
-        });
+        }));
 }
 
 Result<EntryId> Bookie::fenceLedger(LedgerId ledger) {
@@ -138,7 +135,7 @@ void Bookie::crash() {
     alive_ = false;
     ++crashCount_;
     mCrashes_.inc();
-    ++epoch_;  // invalidates the in-flight flush completion, if any
+    flush_.reset();  // the in-flight group is lost; crash() fails its acks
     flushInFlight_ = false;
     // Queued and mid-flush adds never reach the journal; their clients see
     // Unavailable (in practice the TCP connection resets).

@@ -26,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
 #include "wal/types.h"
@@ -130,8 +131,6 @@ private:
     uint64_t storedBytes_ = 0;
 
     bool alive_ = true;
-    /// Bumped on crash so stale flush-completion callbacks are discarded.
-    uint64_t epoch_ = 0;
     uint64_t crashCount_ = 0;
 
     // World-aggregate bookie metrics (all bookies share the named series).
@@ -145,6 +144,8 @@ private:
     obs::LatencyHistogram& mGroupBytes_;
     obs::LatencyHistogram& mGroupEntries_;
     obs::LatencyHistogram& mSyncNs_;
+
+    sim::Lifetime flush_;  // the in-flight group commit; reset by crash()
 };
 
 }  // namespace pravega::wal

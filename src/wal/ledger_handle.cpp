@@ -14,15 +14,12 @@ LedgerHandle::LedgerHandle(sim::Core& exec, sim::Network& net, sim::HostId clien
       clientHost_(clientHost),
       registry_(registry),
       id_(id),
-      repl_(repl),
-      alive_(std::make_shared<bool>(true)) {
+      repl_(repl) {
     auto* info = registry_.find(id);
     assert(info && "ledger must exist in the registry");
     ensemble_ = info->ensemble;
     assert(static_cast<int>(ensemble_.size()) >= repl_.writeQuorum);
 }
-
-LedgerHandle::~LedgerHandle() { *alive_ = false; }
 
 sim::Future<EntryId> LedgerHandle::addEntry(BufChain data) {
     if (closed_ || fencedOut_) {
@@ -52,24 +49,21 @@ sim::Future<EntryId> LedgerHandle::addEntry(BufChain data) {
 void LedgerHandle::sendToBookie(Bookie* bookie, EntryId entry, const BufChain& data) {
     const uint64_t wireBytes = data.size() + kWireOverhead;
     net_.send(clientHost_, bookie->host(), wireBytes,
-              [this, alive = alive_, bookie, entry, data]() {
-                  if (!*alive) return;
+              life_.guard([this, bookie, entry, data]() {
                   bookie->addEntry(id_, entry, data)
-                      .onComplete([this, alive, bookie, entry](const Result<sim::Unit>& r) {
-                          if (!*alive) return;
+                      .onComplete(life_.guard([this, bookie, entry](const Result<sim::Unit>& r) {
                           // Response travels back to the client.
                           net_.send(bookie->host(), clientHost_, kWireOverhead,
-                                    [this, alive, bookie, entry, r]() {
-                                        if (*alive) onAck(bookie, entry, r);
-                                    });
-                      });
-              });
+                                    life_.guard([this, bookie, entry, r]() {
+                                        onAck(bookie, entry, r);
+                                    }));
+                      }));
+              }));
 }
 
 void LedgerHandle::armTimeout(EntryId entry) {
     if (repl_.writeTimeout <= 0) return;
-    exec_.schedule(repl_.writeTimeout, [this, alive = alive_, entry]() {
-        if (!*alive) return;
+    exec_.schedule(repl_.writeTimeout, life_.guard([this, entry]() {
         auto it = inFlight_.find(entry);
         if (it == inFlight_.end()) return;
         // Every write-set bookie that still owes an ack is declared failed;
@@ -80,7 +74,7 @@ void LedgerHandle::armTimeout(EntryId entry) {
         }
         for (Bookie* b : suspects) handleBookieFailure(b);
         if (inFlight_.contains(entry)) armTimeout(entry);
-    });
+    }));
 }
 
 bool LedgerHandle::fullyReplicated(const InFlight& inf) const {

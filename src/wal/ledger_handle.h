@@ -26,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "sim/network.h"
 #include "wal/bookie.h"
 #include "wal/types.h"
@@ -81,7 +82,6 @@ public:
 
     LedgerHandle(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
                  LedgerRegistry& registry, LedgerId id, ReplicationConfig repl);
-    ~LedgerHandle();
 
     LedgerHandle(const LedgerHandle&) = delete;
     LedgerHandle& operator=(const LedgerHandle&) = delete;
@@ -166,8 +166,7 @@ private:
     bool closed_ = false;
     bool registryClosed_ = false;
     bool fencedOut_ = false;
-    /// Cleared on destruction; in-flight network callbacks check it first.
-    std::shared_ptr<bool> alive_;
+    sim::Lifetime life_;
 };
 
 }  // namespace pravega::wal

@@ -56,11 +56,6 @@ FleetWorkload::FleetWorkload(cluster::PravegaCluster& cluster, FleetConfig cfg)
     }
 }
 
-FleetWorkload::~FleetWorkload() {
-    stop();
-    *alive_ = false;
-}
-
 Status FleetWorkload::setup() {
     auto& ctrl = cluster_.ctrl();
     for (const auto& spec : cfg_.tenants) {
@@ -111,17 +106,14 @@ void FleetWorkload::start() {
 
 void FleetWorkload::stop() {
     running_ = false;
-    ++epoch_;
+    timer_.reset();
 }
 
 void FleetWorkload::armTimer() {
-    uint64_t epoch = ++epoch_;
-    cluster_.machine().core(0).scheduleWeak(
-        cfg_.tick, [this, alive = alive_, epoch]() {
-            if (!*alive || !running_ || epoch != epoch_) return;
-            tick();
-            armTimer();
-        });
+    cluster_.machine().core(0).scheduleWeak(cfg_.tick, timer_.guard([this]() {
+        tick();
+        armTimer();
+    }));
 }
 
 uint64_t FleetWorkload::modeledProducers() const {
@@ -253,9 +245,9 @@ void FleetWorkload::sendBatch(size_t streamIdx, segmentstore::SegmentId segment,
     sent_ += count;
     ++inflight_;
     store->chargeRequest(cid, bytes)
-        .thenAsync([this, alive = alive_, cid, segment, payload,
+        .thenAsync([this, life = life_.token(), cid, segment, payload,
                     count](const sim::Unit&) -> sim::Future<int64_t> {
-            if (!*alive) {
+            if (!life.alive()) {
                 return sim::Future<int64_t>::failed(Status(Err::Cancelled, "fleet gone"));
             }
             // Re-resolve ownership: the rebalancer may have moved the
@@ -269,8 +261,7 @@ void FleetWorkload::sendBatch(size_t streamIdx, segmentstore::SegmentId segment,
             return container->append(segment, payload, /*writer=*/0,
                                      /*eventNumber=*/-1, count);
         })
-        .onComplete([this, alive = alive_, streamIdx, count](const Result<int64_t>& r) {
-            if (!*alive) return;
+        .onComplete(life_.guard([this, streamIdx, count](const Result<int64_t>& r) {
             --inflight_;
             auto& stream = streams_[streamIdx];
             if (r.isOk()) {
@@ -280,7 +271,7 @@ void FleetWorkload::sendBatch(size_t streamIdx, segmentstore::SegmentId segment,
                 errored_ += count;
                 stream.dirty = true;  // chase scale events / container moves
             }
-        });
+        }));
 }
 
 }  // namespace pravega::workload

@@ -27,6 +27,7 @@
 
 #include "cluster/pravega_cluster.h"
 #include "controller/quota.h"
+#include "sim/lifetime.h"
 #include "workload/arrival.h"
 #include "workload/zipf.h"
 
@@ -67,7 +68,6 @@ struct FleetConfig {
 class FleetWorkload {
 public:
     FleetWorkload(cluster::PravegaCluster& cluster, FleetConfig cfg);
-    ~FleetWorkload();
 
     /// Creates every scope and stream, driving the simulation to drain
     /// each batch. Call once, from harness context, before start().
@@ -143,9 +143,9 @@ private:
     uint64_t throttled_ = 0;
     uint64_t inflight_ = 0;
     uint64_t keyChecksum_ = 0;
-    uint64_t epoch_ = 0;
     bool running_ = false;
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+    sim::Lifetime life_;   // in-flight appends
+    sim::Lifetime timer_;  // tick timer; reset by stop()
 };
 
 }  // namespace pravega::workload

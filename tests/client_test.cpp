@@ -364,6 +364,25 @@ TEST_F(ClientFixture, KeyValueTableConditionalOps) {
     EXPECT_EQ(txn.result().value().size(), 2u);
 }
 
+TEST_F(ClientFixture, KeyValueTableDestroyedWithRequestsOnTheWireFailsThem) {
+    // Regression (ASan): a request landing after its table was destroyed
+    // read freed memory. The caller's future must fail instead of hanging.
+    makeStream();
+    auto table = KeyValueTable::create(cluster.executor(), cluster.network(),
+                                       cluster.newClientHost(), cluster.ctrl(), "sc/config");
+    ASSERT_TRUE(table.isOk());
+    cluster.runUntilIdle();
+    auto kv = std::move(table.value());
+    auto put = kv->put("k", toBytes("v"));
+    auto get = kv->get("k");
+    kv.reset();
+    cluster.runUntilIdle();
+    ASSERT_TRUE(put.isReady());
+    ASSERT_TRUE(get.isReady());
+    EXPECT_EQ(put.result().code(), Err::Cancelled);
+    EXPECT_EQ(get.result().code(), Err::Cancelled);
+}
+
 
 // --- framing hardening -------------------------------------------------
 

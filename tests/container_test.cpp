@@ -679,16 +679,15 @@ TEST_F(ContainerFixture, PrefetchNeverEvictsUnflushedTail) {
     EXPECT_EQ(lts.readOps(), ltsReadsBefore);
 }
 
-TEST_F(ContainerFixture, LegacyReadPathStillServesLtsReads) {
-    // Ablation flag off: the serial fetch-retry path must still work.
+TEST_F(ContainerFixture, TinyCacheServesEvictedHeadFromLts) {
+    // The flushed head is evicted from a tiny cache; the read pipeline
+    // fetches it back from LTS.
     BlockCache::Config tiny;
     tiny.blockSize = 4096;
     tiny.blocksPerBuffer = 4;
     tiny.maxBuffers = 2;
     BlockCache smallCache(tiny);
-    auto cfg = fastConfig();
-    cfg.readPipeline.enabled = false;
-    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, lts, smallCache, cfg);
+    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, lts, smallCache, fastConfig());
     ASSERT_TRUE(c->start().isOk());
     c->createSegment(kSeg, "s");
     exec.runUntilIdle();
@@ -696,9 +695,53 @@ TEST_F(ContainerFixture, LegacyReadPathStillServesLtsReads) {
     exec.runFor(sim::sec(1));
     appendSync(*c, kSeg, std::string(16000, 'B'));
     exec.runFor(sim::sec(1));
+    uint64_t readsBefore = lts.readOps();
     Bytes head = readSync(*c, kSeg, 0, 100);
     ASSERT_FALSE(head.empty());
     EXPECT_EQ(head[0], 'A');
+    EXPECT_GT(lts.readOps(), readsBefore);
+}
+
+TEST_F(ContainerFixture, DestroyWithOpenFrameIsSafe) {
+    // Regression (ASan): a frame timer firing after its container was
+    // destroyed read freed memory.
+    auto c = makeContainer(1, fastConfig());
+    c->createSegment(kSeg, "s");
+    exec.runUntilIdle();
+    auto fut = c->append(kSeg, payload("x"), 0, -1, 1);
+    ASSERT_GT(exec.pendingRegularTasks(), 0u);  // the frame timer is armed
+    c.reset();
+    exec.runUntilIdle();
+    ASSERT_TRUE(fut.isReady());
+    EXPECT_EQ(fut.result().code(), Err::ContainerOffline);
+}
+
+TEST_F(ContainerFixture, DestroyWithLtsFetchInFlightIsSafe) {
+    // Regression (ASan): an LTS piece completion landing after its container
+    // was destroyed read freed memory.
+    BlockCache::Config tiny;
+    tiny.blockSize = 4096;
+    tiny.blocksPerBuffer = 4;
+    tiny.maxBuffers = 2;
+    BlockCache smallCache(tiny);
+    lts::SimulatedObjectStorage slowLts(exec, sim::ObjectStoreModel::Config{});
+    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, slowLts, smallCache,
+                                                fastConfig());
+    ASSERT_TRUE(c->start().isOk());
+    c->createSegment(kSeg, "s");
+    exec.runUntilIdle();
+    appendSync(*c, kSeg, std::string(16000, 'A'));
+    exec.runFor(sim::sec(1));
+    appendSync(*c, kSeg, std::string(16000, 'B'));
+    exec.runFor(sim::sec(1));
+    uint64_t readsBefore = slowLts.readOps();
+    auto fut = c->read(kSeg, 0, 100);
+    ASSERT_GT(slowLts.readOps(), readsBefore);  // the miss is on the wire
+    ASSERT_FALSE(fut.isReady());
+    c.reset();
+    exec.runUntilIdle();
+    ASSERT_TRUE(fut.isReady());
+    EXPECT_EQ(fut.result().code(), Err::ContainerOffline);
 }
 
 TEST_F(ContainerFixture, OfflineContainerRejectsEverything) {

@@ -1,10 +1,7 @@
 // Tests for the LTS chunk-storage backends: semantics shared across all
-// four, the codec decorator (compression + checksums), the archive tier,
-// plus timing behaviour of the simulated object store and real-file
-// persistence of the filesystem backend.
+// three, the codec decorator (compression + checksums), the archive tier,
+// plus timing behaviour of the simulated object store.
 #include <gtest/gtest.h>
-
-#include <filesystem>
 
 #include "common/hash.h"
 #include "lts/archive_tier.h"
@@ -37,11 +34,11 @@ Status waitStatus(sim::Machine& exec, sim::Future<sim::Unit> fut) {
     return fut.result().status();
 }
 
-// Shared semantics across all four backends (parameterized conformance
+// Shared semantics across all three backends (parameterized conformance
 // suite). NoOp discards payload bytes by design, so content assertions are
 // gated on dataFidelity(); every size, error-code, and offset-contract
 // assertion applies to it unchanged.
-enum class Backend { InMemory, Simulated, FileSystem, NoOp };
+enum class Backend { InMemory, Simulated, NoOp };
 
 class ChunkStorageSemantics : public ::testing::TestWithParam<Backend> {
 protected:
@@ -54,27 +51,15 @@ protected:
                 storage_ = std::make_unique<SimulatedObjectStorage>(
                     exec_, sim::ObjectStoreModel::Config{});
                 break;
-            case Backend::FileSystem: {
-                root_ = "/tmp/pravega-lts-test-" + std::to_string(::getpid());
-                std::filesystem::remove_all(root_);
-                storage_ = std::make_unique<FileSystemChunkStorage>(root_);
-                break;
-            }
             case Backend::NoOp:
                 storage_ = std::make_unique<NoOpChunkStorage>();
                 break;
         }
     }
-    void TearDown() override {
-        storage_.reset();
-        if (!root_.empty()) std::filesystem::remove_all(root_);
-    }
-
     bool dataFidelity() const { return GetParam() != Backend::NoOp; }
 
     sim::Machine exec_;
     std::unique_ptr<ChunkStorage> storage_;
-    std::string root_;
 };
 
 TEST_P(ChunkStorageSemantics, CreateAppendReadRoundTrip) {
@@ -142,7 +127,7 @@ TEST_P(ChunkStorageSemantics, RemoveDeletes) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, ChunkStorageSemantics,
                          ::testing::Values(Backend::InMemory, Backend::Simulated,
-                                           Backend::FileSystem, Backend::NoOp));
+                                           Backend::NoOp));
 
 TEST(SimulatedObjectStorageTest, TransfersTakeModelTime) {
     sim::Machine exec;
@@ -208,28 +193,6 @@ TEST(SimulatedObjectStorageTest, TailReadChargesActualBytesNotRequested) {
     // 16 bytes at 1 KB/s ≈ 16 ms (+8 ms op latency); the requested 1000
     // bytes would have cost ~1 s.
     EXPECT_LT(exec.now() - start, sim::msec(200));
-}
-
-TEST(FileSystemChunkStorageTest, SlashAndUnderscoreNamesDoNotCollide) {
-    // Regression: pathFor() used to mangle '/' to '_', so chunks "a/b" and
-    // "a_b" shared one file and silently interleaved their bytes.
-    std::string root = "/tmp/pravega-lts-collide-" + std::to_string(::getpid());
-    std::filesystem::remove_all(root);
-    sim::Machine exec;
-    {
-        FileSystemChunkStorage storage(root);
-        EXPECT_TRUE(waitStatus(exec, storage.create("a/b")).isOk());
-        EXPECT_TRUE(waitStatus(exec, storage.create("a_b")).isOk());
-        waitStatus(exec, storage.append("a/b", SharedBuf(toBytes("slash"))));
-        waitStatus(exec, storage.append("a_b", SharedBuf(toBytes("under"))));
-        auto slash = waitValue(exec, storage.read("a/b", 0, 100));
-        auto under = waitValue(exec, storage.read("a_b", 0, 100));
-        EXPECT_EQ(toString(slash.view()), "slash");
-        EXPECT_EQ(toString(under.view()), "under");
-        EXPECT_EQ(storage.stat("a/b").value().length, 5u);
-        EXPECT_EQ(storage.stat("a_b").value().length, 5u);
-    }
-    std::filesystem::remove_all(root);
 }
 
 // ------------------------------------------------------------ codec tests
@@ -542,26 +505,6 @@ TEST(ArchiveCodecStackTest, CompressedChunksMigrateAndVerify) {
     ASSERT_EQ(data.size(), payload.size());
     EXPECT_TRUE(std::equal(payload.begin(), payload.end(), data.view().begin()));
     EXPECT_EQ(codec.checksumFailures(), 0u);
-}
-
-TEST(FileSystemChunkStorageTest, PersistsAcrossInstances) {
-    std::string root = "/tmp/pravega-lts-persist-" + std::to_string(::getpid());
-    std::filesystem::remove_all(root);
-    sim::Machine exec;
-    {
-        FileSystemChunkStorage storage(root);
-        storage.create("c");
-        storage.append("c", SharedBuf(toBytes("durable")));
-        exec.runUntilIdle();
-    }
-    // A fresh instance does not know the chunk registry (sizes map), but
-    // the bytes are on disk; verify via the filesystem.
-    bool found = false;
-    for (auto& entry : std::filesystem::directory_iterator(root)) {
-        if (entry.file_size() == 7) found = true;
-    }
-    EXPECT_TRUE(found);
-    std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "golden/scenario.h"
 #include "sim/machine.h"
 #include "sim/future.h"
+#include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
 
@@ -167,6 +168,53 @@ TEST(QueuedResourceTest, ParallelLanes) {
     EXPECT_EQ(done[1], msec(10));
     EXPECT_EQ(done[2], msec(20));
     EXPECT_EQ(done[3], msec(20));
+}
+
+// An owner whose destruction or reset must void its pending continuations.
+struct LifetimeOwner {
+    int runs = 0;
+    Lifetime life;
+};
+
+TEST(LifetimeTest, GuardFiringAfterOwnerDestroyedRunsNothing) {
+    Machine exec;
+    int ran = 0;
+    auto owner = std::make_unique<LifetimeOwner>();
+    exec.schedule(msec(1), owner->life.guard([&ran, o = owner.get()]() { ++o->runs; ++ran; }));
+    owner.reset();
+    exec.runUntilIdle();
+    EXPECT_EQ(ran, 0);
+    // The queue entry itself still fired: guards skip bodies, never events.
+    EXPECT_EQ(exec.now(), msec(1));
+    EXPECT_EQ(exec.executedEvents(), 1u);
+}
+
+TEST(LifetimeTest, ResetVoidsEarlierGuardsButNotLaterOnes) {
+    LifetimeOwner owner;
+    std::vector<int> seen;
+    auto earlier = owner.life.guard([&seen](int v) { seen.push_back(v); });
+    auto token = owner.life.token();
+    owner.life.reset();
+    auto later = owner.life.guard([&seen](int v) { seen.push_back(v); });
+    earlier(1);
+    later(2);
+    EXPECT_EQ(seen, (std::vector<int>{2}));
+    EXPECT_FALSE(token.alive());
+    EXPECT_TRUE(owner.life.token().alive());
+}
+
+TEST(LifetimeTest, GuardedCallbackMayDestroyItsOwner) {
+    Machine exec;
+    auto owner = std::make_unique<LifetimeOwner>();
+    int after = 0;
+    exec.schedule(msec(1), owner->life.guard([&owner]() {
+        ++owner->runs;
+        owner.reset();  // the owner and its Lifetime die mid-call
+    }));
+    exec.schedule(msec(1), owner->life.guard([&after]() { ++after; }));
+    exec.runUntilIdle();
+    EXPECT_EQ(owner, nullptr);
+    EXPECT_EQ(after, 0);
 }
 
 TEST(DiskModelTest, SequentialWritesToSameFileAvoidSwitchPenalty) {
