@@ -1,6 +1,6 @@
 // Micro-benchmarks for the core data structures (the Fig 4 block cache, the
 // AVL read index, serialization, the obs:: latency histogram) plus a
-// deterministic virtual-time core scenario.
+// deterministic virtual-time core scenario and the LTS codec kernel row.
 //
 // The scenario runs first and emits BENCH_micro_core.json through
 // bench::Report: every value in it derives from virtual time and seeded
@@ -10,6 +10,7 @@
 // google-benchmark suites run afterwards (skipped under BENCH_SMOKE=1).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +19,9 @@
 #include "bench/harness/adapters.h"
 #include "bench/harness/report.h"
 #include "common/buf_stats.h"
+#include "common/hash.h"
 #include "common/serde.h"
+#include "lts/chunk_codec.h"
 #include "segmentstore/avl_map.h"
 #include "segmentstore/cache.h"
 #include "sim/random.h"
@@ -146,6 +149,48 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+/// Best-of-3 wall seconds of `fn`.
+template <typename Fn>
+double bestOf3(Fn&& fn) {
+    double best = 0;
+    for (int i = 0; i < 3; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        const double sec =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+        if (i == 0 || sec < best) best = sec;
+    }
+    return best;
+}
+
+/// Codec kernel row: the LTS flush path's CRC-32 and block encoder on an
+/// 8 MB payload that stores about 2:1 (64 seeded random bytes, then a
+/// 64-byte run, repeated). Rates are wall-clock MB/s (2^20 bytes), best of
+/// 3; the stored size and CRC are deterministic.
+void addCodecRow(pravega::bench::Report& report) {
+    constexpr size_t kBytes = 8u << 20;
+    Bytes payload(kBytes);
+    sim::Rng rng(42);
+    for (size_t i = 0; i < kBytes; i += 128) {
+        for (size_t k = 0; k < 64; ++k) payload[i + k] = static_cast<uint8_t>(rng.next());
+        std::fill_n(payload.begin() + static_cast<ptrdiff_t>(i + 64), 64,
+                    static_cast<uint8_t>(rng.next()));
+    }
+    uint32_t crc = 0;
+    size_t stored = 0;
+    const double crcSec = bestOf3([&] { crc = crc32(payload.data(), payload.size()); });
+    const double encodeSec = bestOf3(
+        [&] { stored = lts::ChunkCodec::encodeBlock(BytesView(payload)).size(); });
+    const double mb = static_cast<double>(kBytes) / (1 << 20);
+    report.section("codec: LTS block CRC-32 + RLE encode kernels");
+    report.addCustom("codec",
+                     {{"crc32_mbps", crcSec > 0 ? mb / crcSec : 0.0},
+                      {"encode_mbps", encodeSec > 0 ? mb / encodeSec : 0.0},
+                      {"stored_bytes", static_cast<double>(stored)},
+                      {"crc32", static_cast<double>(crc)}},
+                     nullptr, "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic");
+}
+
 /// Deterministic virtual-time scenario: a small Pravega deployment with
 /// writers and tail readers, reported with the full obs:: registry.
 void runDeterministicScenario() {
@@ -192,6 +237,7 @@ void runDeterministicScenario() {
           static_cast<double>(bufstats::bytesCopied) / clientEvents},
          {"copy_ops_per_event", static_cast<double>(bufstats::copyOps) / clientEvents}},
         nullptr, "events/sec is wall-clock; copy columns are deterministic");
+    addCodecRow(report);
     report.finish();
 
     const char* dump = std::getenv("BENCH_DUMP_METRICS");

@@ -195,22 +195,24 @@ BENCH_SMOKE=1 BENCH_DUMP_METRICS=1 BENCH_OUT_DIR="${DET_A}" \
   "${BENCH_DIR}/bench_micro_core" > "${DET_A}/stdout.txt"
 BENCH_SMOKE=1 BENCH_DUMP_METRICS=1 BENCH_OUT_DIR="${DET_B}" \
   "${BENCH_DIR}/bench_micro_core" > "${DET_B}/stdout.txt"
-# Scrub the (path-bearing) "wrote ..." line and the wall-clock engine row
-# (events_per_sec is real time, everything else derives from virtual time)
-# before comparing stdout.
-sed -i '/^# wrote /d; /events_per_sec/d' "${DET_A}/stdout.txt" "${DET_B}/stdout.txt"
+# Scrub the (path-bearing) "wrote ..." line and the wall-clock engine and
+# codec rows (events_per_sec and the codec MB/s are real time, everything
+# else derives from virtual time or fixed inputs) before comparing stdout.
+sed -i '/^# wrote /d; /events_per_sec/d; /crc32_mbps/d' "${DET_A}/stdout.txt" "${DET_B}/stdout.txt"
 python3 - "${DET_A}/BENCH_micro_core.json" "${DET_B}/BENCH_micro_core.json" <<'PY'
 import json, sys
 
+WALL_CLOCK = ("events_per_sec", "crc32_mbps", "encode_mbps")  # volatile
 docs = []
 for path in sys.argv[1:3]:
     d = json.load(open(path))
     for row in d["rows"]:
-        row["values"].pop("events_per_sec", None)  # wall-clock, volatile
+        for key in WALL_CLOCK:
+            row["values"].pop(key, None)
     docs.append(d)
 assert docs[0] == docs[1], \
-    "BENCH_micro_core.json differs between same-seed runs (beyond events_per_sec)"
-print("determinism OK: JSON byte-identical modulo the wall-clock rate")
+    f"BENCH_micro_core.json differs between same-seed runs (beyond {WALL_CLOCK})"
+print("determinism OK: JSON byte-identical modulo the wall-clock rates")
 PY
 diff "${DET_A}/stdout.txt" "${DET_B}/stdout.txt" \
   || { echo "metric dump differs between same-seed runs" >&2; exit 1; }
@@ -231,11 +233,12 @@ diff "${OUT_DIR}/BENCH_fig13_autoscaling.json" "${FLEET_B}/BENCH_fig13_autoscali
   || { echo "fig13 JSON differs between same-seed runs" >&2; exit 1; }
 echo "fig13 determinism OK: fleet sweep byte-identical across runs"
 
-echo "== perf gate: engine events/sec vs committed baseline =="
-# The copy budget is deterministic and always enforced. The events/sec floor
-# is wall-clock and only meaningful on an unsanitized build on the reference
-# container; BENCH_PERF_GATE=0 skips it (scripts/check.sh sets this for the
-# ASan/UBSan suites, where the engine legitimately runs 3-8x slower).
+echo "== perf gate: engine events/sec + codec MB/s vs committed baseline =="
+# The copy budget and the codec row's stored size and CRC are deterministic
+# and always enforced. The events/sec and codec MB/s floors are wall-clock
+# and only meaningful on an unsanitized build on the reference container;
+# BENCH_PERF_GATE=0 skips them (scripts/check.sh sets this for the ASan/UBSan
+# suites, where the engine legitimately runs 3-8x slower).
 python3 - "${DET_A}/BENCH_micro_core.json" bench/baselines/BENCH_micro_core_baseline.json \
   "${BENCH_PERF_GATE:-1}" <<'PY'
 import json, sys
@@ -249,18 +252,27 @@ want = base["values"]["bytes_copied_per_event"]
 assert copied == want, (
     f"copy budget changed: {copied} bytes copied per event, baseline {want} "
     f"(exactly one client-side payload copy plus the reader-side fetch/hand-out)")
+codec = next(r for r in cur["rows"] if r["series"] == "codec")["values"]
+for col, key in (("stored_bytes", "codec_stored_bytes"), ("crc32", "codec_crc32")):
+    got, want = codec[col], base["values"][key]
+    assert got == want, (
+        f"codec {col} changed: {got:.0f}, baseline {want:.0f} "
+        f"(the stored block format and CRC values are frozen)")
 if gate_rate:
-    got = row["values"]["events_per_sec"]
-    floor = base["values"]["events_per_sec"] * base["gate_fraction"]
-    assert got >= floor, (
-        f"DES engine regressed: {got:,.0f} events/s < gate {floor:,.0f} "
-        f"({base['gate_fraction']:.0%} of committed baseline "
-        f"{base['values']['events_per_sec']:,.0f}); set BENCH_PERF_GATE=0 to bypass")
-    print(f"perf gate OK: {got:,.0f} events/s >= {floor:,.0f}; "
-          f"copy budget {copied} B/event unchanged")
+    floors = (("events_per_sec", row["values"]["events_per_sec"], "DES engine", "events/s"),
+              ("codec_crc32_mbps", codec["crc32_mbps"], "codec crc32", "MB/s"),
+              ("codec_encode_mbps", codec["encode_mbps"], "codec encodeBlock", "MB/s"))
+    for key, got, what, unit in floors:
+        floor = base["values"][key] * base["gate_fraction"]
+        assert got >= floor, (
+            f"{what} regressed: {got:,.0f} {unit} < gate {floor:,.0f} "
+            f"({base['gate_fraction']:.0%} of committed baseline "
+            f"{base['values'][key]:,.0f}); set BENCH_PERF_GATE=0 to bypass")
+        print(f"perf gate OK: {what} {got:,.0f} {unit} >= {floor:,.0f}")
+    print(f"copy budget {copied} B/event and codec output unchanged")
 else:
-    print(f"perf gate: rate floor SKIPPED (BENCH_PERF_GATE=0); "
-          f"copy budget {copied} B/event unchanged")
+    print(f"perf gate: rate floors SKIPPED (BENCH_PERF_GATE=0); "
+          f"copy budget {copied} B/event and codec output unchanged")
 PY
 
 echo "bench smoke OK (${ran} binaries, JSON valid, deterministic, perf-gated)"

@@ -210,8 +210,10 @@ def check_fleet_rows(path, rows):
 
 
 def check_micro_core(path, doc):
-    """bench_micro_core must publish the DES-engine row: scheduler events,
-    the wall-clock dispatch rate, and the deterministic copy budget."""
+    """bench_micro_core must publish the DES-engine row (scheduler events,
+    the wall-clock dispatch rate, the deterministic copy budget) and the
+    codec kernel row (wall-clock CRC-32 and encodeBlock MB/s, the
+    deterministic stored size and CRC of the fixed payload)."""
     engine = [r for r in doc["rows"] if r["series"] == "engine"]
     if len(engine) != 1:
         fail(path, f"micro_core needs exactly one engine row, got {len(engine)}")
@@ -228,6 +230,19 @@ def check_micro_core(path, doc):
     if values["bytes_copied_per_event"] <= 0:
         fail(path, "engine bytes_copied_per_event must be positive "
                    "(the framing copy always counts)")
+    codec = [r for r in doc["rows"] if r["series"] == "codec"]
+    if len(codec) != 1:
+        fail(path, f"micro_core needs exactly one codec row, got {len(codec)}")
+    values = codec[0]["values"]
+    for key in ("crc32_mbps", "encode_mbps", "stored_bytes", "crc32"):
+        if key not in values:
+            fail(path, f"codec row missing {key!r}")
+        check_number(path, values[key], f"codec.values.{key}")
+    for key in ("crc32_mbps", "encode_mbps", "stored_bytes"):
+        if values[key] <= 0:
+            fail(path, f"codec {key} must be positive: {values[key]!r}")
+    if not 0 <= values["crc32"] < 2**32 or values["crc32"] != int(values["crc32"]):
+        fail(path, f'codec crc32 is not a 32-bit value: {values["crc32"]!r}')
 
 
 def validate(path):

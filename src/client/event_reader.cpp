@@ -127,7 +127,8 @@ std::optional<EventRead> EventReader::pollEvent() {
         if (payload) {
             rrLast_ = seg;
             ++eventsRead_;
-            exec_.metrics().counter("client.reader.events").inc();
+            if (!mEvents_) mEvents_ = &exec_.metrics().counter("client.reader.events");
+            mEvents_->inc();
             return EventRead{std::move(*payload), seg, stream->position()};
         }
     }
@@ -158,9 +159,10 @@ void EventReader::onData() {
         } else {
             // Tail-read dispatch: how long a parked reader waited for new
             // data to arrive and wake it (§4.2 read side).
-            exec_.metrics()
-                .histogram("trace.read.0_dispatch_ns")
-                .record(exec_.now() - waitStart_);
+            if (!mDispatchNs_) {
+                mDispatchNs_ = &exec_.metrics().histogram("trace.read.0_dispatch_ns");
+            }
+            mDispatchNs_->record(exec_.now() - waitStart_);
         }
     }
     handleEndedSegments();

@@ -12,6 +12,7 @@
 #include "client/reader_group.h"
 #include "client/segment_input_stream.h"
 #include "client/state_synchronizer.h"
+#include "obs/metrics.h"
 #include "sim/lifetime.h"
 
 namespace pravega::client {
@@ -71,6 +72,10 @@ private:
     bool updateInFlight_ = false;
     bool closed_ = false;
     uint64_t eventsRead_ = 0;
+    // Instruments looked up at first use, so an idle reader adds nothing to
+    // the registry dump.
+    obs::Counter* mEvents_ = nullptr;                // client.reader.events
+    obs::LatencyHistogram* mDispatchNs_ = nullptr;  // trace.read.0_dispatch_ns
     sim::Lifetime life_;
 };
 

@@ -65,7 +65,8 @@ void EventWriter::writeEvent(std::string_view routingKey, BytesView payload, Eve
         return;
     }
     ++eventsWritten_;
-    exec_.metrics().counter("client.writer.events_submitted").inc();
+    if (!mSubmitted_) mSubmitted_ = &exec_.metrics().counter("client.writer.events_submitted");
+    mSubmitted_->inc();
     if (stream->sealed()) {
         // A scale event is mid-flight for this key range: queue behind the
         // events already awaiting re-route so per-key order is preserved.

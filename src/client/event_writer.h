@@ -14,6 +14,7 @@
 
 #include "client/segment_output_stream.h"
 #include "controller/controller.h"
+#include "obs/metrics.h"
 #include "sim/lifetime.h"
 #include "sim/network.h"
 #include "sim/random.h"
@@ -69,6 +70,9 @@ private:
     sim::Rng rng_;
     uint64_t eventsWritten_ = 0;
     uint64_t rerouted_ = 0;
+    /// `client.writer.events_submitted`, looked up at the first event so a
+    /// writer that never writes adds nothing to the registry dump.
+    obs::Counter* mSubmitted_ = nullptr;
 
     static WriterId nextWriterId_;
     sim::Lifetime life_;  // successor-retry timer

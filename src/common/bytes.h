@@ -6,7 +6,9 @@
 // cache and client responses without copies.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -60,6 +62,15 @@ private:
     size_t offset_ = 0;
     size_t size_ = 0;
 };
+
+/// Little-endian 64-bit load from any address. memcpy keeps word-at-a-time
+/// kernels free of alignment and aliasing UB; compilers emit one load.
+inline uint64_t loadLe64(const uint8_t* p) {
+    uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+    return v;
+}
 
 /// Appends `src` to `dst`.
 inline void append(Bytes& dst, BytesView src) {

@@ -1,4 +1,4 @@
-// Hashing: FNV-1a 64-bit and the routing-key hash h(k) ∈ [0, 1).
+// Hashing: FNV-1a 64-bit, CRC-32 and the routing-key hash h(k) ∈ [0, 1).
 //
 // Pravega maps routing keys onto the unit interval; stream segments own
 // disjoint sub-ranges of [0,1) (§2.1). The same family is used for the
@@ -16,7 +16,9 @@ uint64_t fnv1a64(std::string_view data);
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte range. Used for
 /// the LTS chunk-codec block checksums; `seed` chains partial updates
-/// (pass a previous result to continue a running CRC).
+/// (pass a previous result to continue a running CRC). Slicing-by-16:
+/// sixteen 256-entry tables (16 KiB) consume two 8-byte words per step,
+/// with a byte-wise tail; the values are those of the classic byte loop.
 uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed = 0);
 
 /// Mixes a 64-bit value (splitmix64 finalizer); good avalanche for ids.

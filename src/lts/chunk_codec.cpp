@@ -1,6 +1,8 @@
 #include "lts/chunk_codec.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/serde.h"
@@ -12,29 +14,88 @@ using sim::Unit;
 
 // ------------------------------------------------------------- block codec
 
-Bytes ChunkCodec::rleEncode(BytesView raw) {
-    Bytes out;
-    out.reserve(raw.size() / 4 + 16);
-    size_t i = 0;
-    const size_t n = raw.size();
-    while (i < n) {
-        size_t run = 1;
-        while (i + run < n && raw[i + run] == raw[i] && run < 130) ++run;
-        if (run >= 3) {
-            out.push_back(static_cast<uint8_t>(0x80u | (run - 3)));
-            out.push_back(raw[i]);
-            i += run;
-            continue;
+namespace {
+
+constexpr size_t kMaxRun = 130;      // 0x80 | (run - 3) fits 7 bits
+constexpr size_t kMaxLiteral = 128;  // control byte (len - 1) < 0x80
+constexpr uint64_t kLowBits = 0x0101010101010101ULL;
+constexpr uint64_t kHighBits = 0x8080808080808080ULL;
+
+/// Index of the lowest non-zero byte of a non-zero little-endian word.
+size_t firstSetByte(uint64_t x) { return static_cast<size_t>(std::countr_zero(x)) / 8; }
+
+bool tripleAt(const uint8_t* p, size_t i, size_t n) {
+    return i + 2 < n && p[i] == p[i + 1] && p[i] == p[i + 2];
+}
+
+/// Length of the run of p[i] starting at i, capped at kMaxRun: XOR eight
+/// bytes at a time against the broadcast byte; the first non-zero byte of
+/// the XOR is the first mismatch.
+size_t runLength(const uint8_t* p, size_t i, size_t n) {
+    const uint64_t pattern = p[i] * kLowBits;
+    size_t j = i + 1;
+    for (; j - i < kMaxRun && j + 8 <= n; j += 8) {
+        if (uint64_t diff = loadLe64(p + j) ^ pattern) {
+            return std::min(j + firstSetByte(diff) - i, kMaxRun);
         }
-        // Literal run: up to 128 bytes, stopping where a >=3 repeat starts.
-        size_t start = i;
-        while (i < n && i - start < 128) {
-            if (i + 2 < n && raw[i] == raw[i + 1] && raw[i] == raw[i + 2]) break;
-            ++i;
-        }
-        out.push_back(static_cast<uint8_t>(i - start - 1));
-        out.insert(out.end(), raw.begin() + start, raw.begin() + i);
     }
+    while (j - i < kMaxRun && j < n && p[j] == p[i]) ++j;
+    return std::min(j - i, kMaxRun);
+}
+
+/// End of the literal stretch starting at i (no triple at i): the first
+/// later position where three equal bytes start, capped at kMaxLiteral
+/// bytes and at n. Byte m of (w0^w1)|(w1^w2), built from loads at k, k+1
+/// and k+2, is zero exactly when a triple starts at k+m. The lowest byte
+/// flagged by the zero-byte test is always a true zero (borrows only
+/// propagate upwards), so it names the first triple.
+size_t literalEnd(const uint8_t* p, size_t i, size_t n) {
+    const size_t limit = std::min(n, i + kMaxLiteral);
+    size_t k = i + 1;
+    for (; k < limit && k + 10 <= n; k += 8) {
+        const uint64_t w0 = loadLe64(p + k);
+        const uint64_t w1 = loadLe64(p + k + 1);
+        const uint64_t w2 = loadLe64(p + k + 2);
+        const uint64_t v = (w0 ^ w1) | (w1 ^ w2);
+        if (uint64_t zero = (v - kLowBits) & ~v & kHighBits) {
+            return std::min(k + firstSetByte(zero), limit);
+        }
+    }
+    for (; k < limit; ++k) {
+        if (tripleAt(p, k, n)) return k;
+    }
+    return limit;
+}
+
+/// Encodes `raw` into `out`, which must hold rleBound(raw.size()) bytes;
+/// returns the encoded length.
+size_t rleEncodeInto(BytesView raw, uint8_t* out) {
+    const uint8_t* p = raw.data();
+    const size_t n = raw.size();
+    uint8_t* o = out;
+    size_t i = 0;
+    while (i < n) {
+        if (tripleAt(p, i, n)) {
+            const size_t run = runLength(p, i, n);
+            *o++ = static_cast<uint8_t>(0x80u | (run - 3));
+            *o++ = p[i];
+            i += run;
+        } else {
+            const size_t len = literalEnd(p, i, n) - i;
+            *o++ = static_cast<uint8_t>(len - 1);
+            std::memcpy(o, p + i, len);
+            o += len;
+            i += len;
+        }
+    }
+    return static_cast<size_t>(o - out);
+}
+
+}  // namespace
+
+Bytes ChunkCodec::rleEncode(BytesView raw) {
+    Bytes out(rleBound(raw.size()));
+    out.resize(rleEncodeInto(raw, out.data()));
     return out;
 }
 
@@ -60,25 +121,33 @@ Result<Bytes> ChunkCodec::rleDecode(BytesView enc, size_t rawLen) {
 }
 
 Bytes ChunkCodec::encodeBlock(BytesView raw) {
-    Bytes body = rleEncode(raw);
+    // The body is encoded in place after a reserved header, which is
+    // patched once the body length and method are known.
+    Bytes out(kHeaderBytes + rleBound(raw.size()));
+    size_t bodyLen = rleEncodeInto(raw, out.data() + kHeaderBytes);
     uint8_t method = kRle;
-    if (body.size() >= raw.size()) {
+    if (bodyLen >= raw.size()) {
         // Incompressible: store verbatim so a block never expands past the
         // fixed header overhead.
-        body.assign(raw.begin(), raw.end());
+        if (!raw.empty()) std::memcpy(out.data() + kHeaderBytes, raw.data(), raw.size());
+        bodyLen = raw.size();
         method = kRaw;
     }
-    Bytes out;
-    out.reserve(kHeaderBytes + body.size());
-    BinaryWriter w(out);
+    // Exact size: the backend keeps this allocation for the chunk's life.
+    out.resize(kHeaderBytes + bodyLen);
+    out.shrink_to_fit();
+
+    Bytes header;
+    header.reserve(kHeaderBytes);
+    BinaryWriter w(header);
     w.u32(kMagic);
     w.u8(kVersion);
     w.u8(method);
     w.u16(0);  // reserved
     w.u32(static_cast<uint32_t>(raw.size()));
-    w.u32(static_cast<uint32_t>(body.size()));
+    w.u32(static_cast<uint32_t>(bodyLen));
     w.u32(crc32(raw.data(), raw.size()));
-    w.raw(BytesView(body));
+    std::copy(header.begin(), header.end(), out.begin());
     return out;
 }
 

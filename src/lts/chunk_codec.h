@@ -51,7 +51,17 @@ struct ChunkCodec {
 
     /// PackBits-style RLE: control byte c < 0x80 → (c+1) literal bytes
     /// follow; c >= 0x80 → the next byte repeats ((c & 0x7F) + 3) times.
+    /// Greedy: a run is taken wherever three equal bytes start (up to 130),
+    /// literals stretch up to 128 bytes. The scan is word-at-a-time
+    /// (DESIGN.md §12); the output is fixed by the format, not the scan.
     static Bytes rleEncode(BytesView raw);
+    /// Upper bound on rleEncode output for `n` input bytes. A run spends 2
+    /// bytes on >= 3, so only literals expand, by one control byte each. A
+    /// literal shorter than 128 ends at a run (whose saving pays for its
+    /// control byte) or at the end of input, so the unpaid control bytes
+    /// are at most ceil(n / 128): n + ceil(n/128) <= n + n/128 + 1. Tight
+    /// for input with no three equal bytes in a row.
+    static constexpr size_t rleBound(size_t n) { return n + (n + 127) / 128; }
     /// Decodes exactly `rawLen` bytes or fails (malformed stream).
     static Result<Bytes> rleDecode(BytesView enc, size_t rawLen);
 

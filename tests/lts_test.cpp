@@ -9,6 +9,7 @@
 #include "lts/chunk_storage.h"
 #include "lts/fault_injection.h"
 #include "sim/machine.h"
+#include "sim/random.h"
 
 namespace pravega::lts {
 namespace {
@@ -237,6 +238,95 @@ TEST(ChunkCodecTest, CorruptionNeverDecodes) {
     Bytes cut(block.begin(), block.begin() + block.size() / 2);
     EXPECT_EQ(ChunkCodec::decodeBlock(BytesView(cut)).status().code(),
               Err::ChecksumMismatch);
+}
+
+namespace {
+
+/// The byte-at-a-time PackBits encoder the word-scan encoder replaced; its
+/// output defines the stored format.
+Bytes rleEncodeOracle(BytesView raw) {
+    Bytes out;
+    size_t i = 0;
+    const size_t n = raw.size();
+    while (i < n) {
+        size_t run = 1;
+        while (i + run < n && raw[i + run] == raw[i] && run < 130) ++run;
+        if (run >= 3) {
+            out.push_back(static_cast<uint8_t>(0x80u | (run - 3)));
+            out.push_back(raw[i]);
+            i += run;
+            continue;
+        }
+        size_t start = i;
+        while (i < n && i - start < 128) {
+            if (i + 2 < n && raw[i] == raw[i + 1] && raw[i] == raw[i + 2]) break;
+            ++i;
+        }
+        out.push_back(static_cast<uint8_t>(i - start - 1));
+        out.insert(out.end(), raw.begin() + start, raw.begin() + i);
+    }
+    return out;
+}
+
+/// A seeded buffer of 0..700 bytes mixing noise, two-symbol stretches
+/// (pairs and short runs) and runs whose lengths straddle the 128-byte
+/// literal and 130-byte run caps and the 8-byte word.
+Bytes fuzzBuffer(sim::Rng& rng) {
+    static constexpr size_t kEdgeRuns[] = {1,   2,   3,   4,   7,   8,   9,   10,  11,
+                                           16,  17,  125, 126, 127, 128, 129, 130, 131,
+                                           132, 133, 138, 259, 260, 261, 262, 263};
+    const size_t len = rng.nextBounded(701);
+    Bytes b;
+    while (b.size() < len) {
+        switch (rng.nextBounded(3)) {
+            case 0:  // noise: literal stretches across the 128 cap
+                for (size_t k = 1 + rng.nextBounded(200); k > 0; --k) {
+                    b.push_back(static_cast<uint8_t>(rng.next()));
+                }
+                break;
+            case 1: {  // two symbols: pairs, triples and short runs
+                const auto x = static_cast<uint8_t>(rng.next());
+                for (size_t k = 1 + rng.nextBounded(40); k > 0; --k) {
+                    b.push_back(rng.nextBounded(2) ? x : static_cast<uint8_t>(x + 1));
+                }
+                break;
+            }
+            default: {  // a run, often at a cap or word edge
+                const size_t run = rng.nextBounded(2)
+                                       ? kEdgeRuns[rng.nextBounded(std::size(kEdgeRuns))]
+                                       : 1 + rng.nextBounded(300);
+                b.insert(b.end(), run, static_cast<uint8_t>(rng.next()));
+            }
+        }
+    }
+    b.resize(len);
+    // Vary the last two bytes: a triple (or near-triple) at the very end.
+    if (len >= 3 && rng.nextBounded(4) == 0) b[len - 1] = b[len - 2];
+    if (len >= 3 && rng.nextBounded(4) == 0) b[len - 2] = b[len - 3];
+    return b;
+}
+
+}  // namespace
+
+TEST(ChunkCodecTest, RleEncoderMatchesByteLoopOracle) {
+    sim::Rng rng(2024);
+    for (int iter = 0; iter < 100000; ++iter) {
+        const Bytes raw = fuzzBuffer(rng);
+        const Bytes enc = ChunkCodec::rleEncode(BytesView(raw));
+        ASSERT_EQ(enc, rleEncodeOracle(BytesView(raw))) << "iteration " << iter;
+        ASSERT_LE(enc.size(), ChunkCodec::rleBound(raw.size())) << "iteration " << iter;
+        auto dec = ChunkCodec::rleDecode(BytesView(enc), raw.size());
+        ASSERT_TRUE(dec.isOk()) << "iteration " << iter;
+        ASSERT_EQ(dec.value(), raw) << "iteration " << iter;
+    }
+}
+
+TEST(ChunkCodecTest, RleBoundIsTightForRunFreeInput) {
+    for (size_t n : {0u, 1u, 127u, 128u, 129u, 256u, 1000u}) {
+        Bytes raw(n);
+        for (size_t i = 0; i < n; ++i) raw[i] = static_cast<uint8_t>(i % 2);
+        EXPECT_EQ(ChunkCodec::rleEncode(BytesView(raw)).size(), ChunkCodec::rleBound(n));
+    }
 }
 
 class CodecStorageTest : public ::testing::Test {
