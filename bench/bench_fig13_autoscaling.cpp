@@ -125,7 +125,8 @@ int main() {
         for (auto* store : world->cluster->stores()) perStore[store->host()] = 0;
         for (const auto& [seg, rate] : scaler.lastRates()) {
             auto uri = world->cluster->ctrl().uriOf(seg);
-            if (uri) perStore[uri.value().store->host()] += rate;
+            if (!uri) continue;
+            perStore[uri.value().registry->ownerOf(uri.value().containerId)->host()] += rate;
         }
         std::vector<std::pair<std::string, double>> row = {
             {"t_sec", static_cast<double>(t)},

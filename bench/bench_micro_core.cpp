@@ -191,18 +191,24 @@ void addCodecRow(pravega::bench::Report& report) {
                      nullptr, "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic");
 }
 
-/// Deterministic virtual-time scenario: a small Pravega deployment with
-/// writers and tail readers, reported with the full obs:: registry.
-void runDeterministicScenario() {
-    using namespace pravega::bench;
-    Report report("micro_core", "micro: deterministic core write/read scenario");
-    report.section("core scenario: 4 segments, 2 writers, 4 tail readers, 1KB events");
+/// One run of the core scenario in a fresh world.
+struct Replay {
+    std::unique_ptr<pravega::bench::PravegaWorld> world;
+    pravega::bench::RunStats stats;
+    uint64_t desEvents = 0;
+    uint64_t bytesCopied = 0;
+    uint64_t copyOps = 0;
+    double wallSec = 0;
+};
 
+Replay replayScenario() {
+    using namespace pravega::bench;
     PravegaOptions opt;
     opt.segments = 4;
     opt.numWriters = 2;
     opt.numReaders = 4;
-    auto world = makePravega(opt);
+    Replay r;
+    r.world = makePravega(opt);
 
     WorkloadConfig w;
     w.eventsPerSec = 20'000;
@@ -212,14 +218,42 @@ void runDeterministicScenario() {
     w.seed = 42;
     w = shrinkForSmoke(w);
     bufstats::reset();
-    const uint64_t eventsBefore = world->exec().executedEvents();
+    sim::Machine& exec = r.world->exec();
+    const uint64_t eventsBefore = exec.executedEvents();
     const auto wallStart = std::chrono::steady_clock::now();
-    auto stats = runOpenLoop(world->exec(), world->producers, w);
-    world->exec().runFor(sim::msec(200));  // drain tail deliveries
-    const double wallSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
-    const uint64_t desEvents = world->exec().executedEvents() - eventsBefore;
-    report.add("core-scenario", stats, &world->exec().mergedMetrics());
+    r.stats = runOpenLoop(exec, r.world->producers, w);
+    exec.runFor(sim::msec(200));  // drain tail deliveries
+    r.wallSec = std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
+    r.desEvents = exec.executedEvents() - eventsBefore;
+    r.bytesCopied = bufstats::bytesCopied;
+    r.copyOps = bufstats::copyOps;
+    return r;
+}
+
+/// Deterministic virtual-time scenario: a small Pravega deployment with
+/// writers and tail readers, reported with the full obs:: registry.
+void runDeterministicScenario() {
+    using namespace pravega::bench;
+    Report report("micro_core", "micro: deterministic core write/read scenario");
+    report.section("core scenario: 4 segments, 2 writers, 4 tail readers, 1KB events");
+
+    // The scenario runs ~60 ms of wall time, too short for one run to time
+    // the engine on a loaded host: it is replayed in 3 fresh worlds and the
+    // fastest replay is timed. The replays must execute identical work.
+    Replay first = replayScenario();
+    double wallSec = first.wallSec;
+    for (int i = 1; i < 3; ++i) {
+        Replay again = replayScenario();
+        if (again.desEvents != first.desEvents) {
+            std::fprintf(stderr, "micro_core: replay %d executed %llu DES events, replay 0 %llu\n",
+                         i, static_cast<unsigned long long>(again.desEvents),
+                         static_cast<unsigned long long>(first.desEvents));
+            std::exit(1);
+        }
+        wallSec = std::min(wallSec, again.wallSec);
+    }
+    auto& world = first.world;
+    report.add("core-scenario", first.stats, &world->exec().mergedMetrics());
 
     // Engine row: DES scheduler throughput (wall-clock, volatile — the
     // smoke determinism check scrubs events_per_sec) and the copy budget
@@ -228,14 +262,14 @@ void runDeterministicScenario() {
     // the append path (the framing copy) plus the read-side fetch+hand-out
     // copies of the tail readers.
     report.section("engine: DES event loop + copy budget");
-    const double clientEvents = static_cast<double>(stats.sent > 0 ? stats.sent : 1);
+    const double desEvents = static_cast<double>(first.desEvents);
+    const double clientEvents = static_cast<double>(first.stats.sent > 0 ? first.stats.sent : 1);
     report.addCustom(
         "engine",
-        {{"events", static_cast<double>(desEvents)},
-         {"events_per_sec", wallSec > 0 ? static_cast<double>(desEvents) / wallSec : 0.0},
-         {"bytes_copied_per_event",
-          static_cast<double>(bufstats::bytesCopied) / clientEvents},
-         {"copy_ops_per_event", static_cast<double>(bufstats::copyOps) / clientEvents}},
+        {{"events", desEvents},
+         {"events_per_sec", wallSec > 0 ? desEvents / wallSec : 0.0},
+         {"bytes_copied_per_event", static_cast<double>(first.bytesCopied) / clientEvents},
+         {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents}},
         nullptr, "events/sec is wall-clock; copy columns are deterministic");
     addCodecRow(report);
     report.finish();

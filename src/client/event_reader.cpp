@@ -8,7 +8,9 @@ namespace pravega::client {
 
 namespace {
 constexpr const char* kLog = "event-reader";
-}
+/// Reader-group coordination cadence (state-sync fetch interval).
+constexpr sim::Duration kSyncInterval = sim::msec(100);
+}  // namespace
 
 EventReader::EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerHost,
                          controller::Controller& controller, controller::SegmentUri syncUri,
@@ -28,7 +30,7 @@ EventReader::EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerH
 }
 
 void EventReader::syncTick() {
-    exec_.scheduleWeak(cfg_.syncInterval, life_.guard([this]() {
+    exec_.scheduleWeak(kSyncInterval, life_.guard([this]() {
         if (closed_) return;
         sync_.fetchUpdates().onComplete(life_.guard([this](const Result<sim::Unit>&) {
             if (closed_) return;

@@ -35,7 +35,7 @@ SegmentOutputStream* EventWriter::openStream(const controller::SegmentUri& uri) 
     auto it = streams_.find(uri.record.id);
     if (it != streams_.end()) return it->second.get();
     auto stream = std::make_unique<SegmentOutputStream>(
-        exec_, net_, clientHost_, uri.store, uri.containerId, uri.record.id, writerId_, cfg_,
+        exec_, net_, clientHost_, uri, writerId_, cfg_,
         [this](SegmentId segment, std::vector<SegmentOutputStream::ResendEvent> events) {
             onSealed(segment, std::move(events));
         });
@@ -85,7 +85,7 @@ void EventWriter::flush() {
 }
 
 void EventWriter::simulateReconnect() {
-    for (auto& [id, stream] : streams_) stream->simulateReconnect();
+    for (auto& [id, stream] : streams_) stream->reconnect();
 }
 
 void EventWriter::onSealed(SegmentId segment,

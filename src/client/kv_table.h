@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "client/container_channel.h"
 #include "controller/controller.h"
 #include "segmentstore/table_segment.h"
 #include "sim/future.h"
@@ -45,18 +46,22 @@ public:
     sim::Future<std::vector<int64_t>> updateAll(std::vector<segmentstore::TableUpdate> batch);
 
 private:
-    KeyValueTable(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                  controller::SegmentUri uri, uint64_t wireOverhead);
+    KeyValueTable(sim::Network& net, sim::HostId clientHost, const controller::SegmentUri& uri)
+        : channel_(net, clientHost, uri), table_(uri.record.id) {}
 
-    template <typename T, typename Fn>
-    sim::Future<T> roundTrip(uint64_t requestBytes, Fn serverFn);
+    /// One channel call whose reply completes the returned future.
+    template <typename T, typename Op>
+    sim::Future<T> request(uint64_t requestBytes, Op op) {
+        sim::Promise<T> done;
+        auto fut = done.future();
+        channel_.call<T>(life_, requestBytes, std::move(op),
+                         [done](const Result<T>& r) mutable { done.complete(r); });
+        return fut;
+    }
 
-    sim::Core& exec_;
-    sim::Network& net_;
-    sim::HostId clientHost_;
-    controller::SegmentUri uri_;
-    uint64_t wireOverhead_;
-    sim::Lifetime life_;
+    ContainerChannel channel_;
+    segmentstore::SegmentId table_;
+    sim::Lifetime life_;  // a request outliving the table fails with Cancelled
 };
 
 }  // namespace pravega::client

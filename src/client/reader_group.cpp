@@ -215,9 +215,9 @@ Result<std::shared_ptr<ReaderGroup>> ReaderGroup::create(
         auto segments = controller.getHeadSegments(stream);
         if (!segments) return segments.status();
         for (const auto& s : segments.value()) {
-            auto info = s.store->container(s.containerId)
-                            ? s.store->container(s.containerId)->getInfo(s.record.id)
-                            : Result<segmentstore::SegmentProperties>(Err::ContainerOffline);
+            auto* container = s.registry->containerFor(s.containerId);
+            auto info = container ? container->getInfo(s.record.id)
+                                  : Result<segmentstore::SegmentProperties>(Err::ContainerOffline);
             initial[s.record.id] = info ? info.value().startOffset : 0;
         }
     }

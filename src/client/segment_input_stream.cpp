@@ -11,8 +11,7 @@ SegmentInputStream::SegmentInputStream(sim::Core& exec, sim::Network& net,
                                        int64_t startOffset, ReaderConfig cfg,
                                        std::function<void()> onData)
     : exec_(exec),
-      net_(net),
-      clientHost_(clientHost),
+      channel_(net, clientHost, uri),
       uri_(std::move(uri)),
       cfg_(cfg),
       onData_(std::move(onData)),
@@ -53,33 +52,23 @@ std::optional<Bytes> SegmentInputStream::readNextEvent() {
 void SegmentInputStream::ensureFetching() {
     if (fetching_ || endOfSegment_ || failed_) return;
     fetching_ = true;
-    uint64_t wire = cfg_.wireOverheadBytes;
-    net_.send(clientHost_, uri_.store->host(), wire, life_.guard([this]() {
-        auto* container = uri_.store->container(uri_.containerId);
-        if (!container) {
-            failed_ = true;
-            fetching_ = false;
-            if (onData_) onData_();
-            return;
-        }
-        uri_.store->chargeRequest(uri_.containerId, 0)
-            .thenAsync([container, id = uri_.record.id, offset = fetchOffset_,
-                        bytes = static_cast<int64_t>(cfg_.fetchBytes)](const sim::Unit&) {
-            return container->read(id, offset, bytes);
-        })
-        .onComplete(life_.guard([this](const Result<segmentstore::ReadResult>& r) {
-            uint64_t respBytes =
-                cfg_.wireOverheadBytes + (r.isOk() ? r.value().data.size() : 0);
-            net_.send(uri_.store->host(), clientHost_, respBytes,
-                      life_.guard([this, r]() { onFetchComplete(r); }));
-        }));
-    }));
+    channel_.call<segmentstore::ReadResult>(
+        life_, 0,
+        [cid = uri_.containerId, id = uri_.record.id, offset = fetchOffset_,
+         bytes = static_cast<int64_t>(cfg_.fetchBytes)](segmentstore::SegmentStore& store,
+                                                        segmentstore::SegmentContainer&) {
+            return ContainerChannel::charged<segmentstore::ReadResult>(
+                store, cid, 0,
+                [=](segmentstore::SegmentContainer& c) { return c.read(id, offset, bytes); });
+        },
+        life_.guard([this](const Result<segmentstore::ReadResult>& r) { onFetchComplete(r); }));
 }
 
 void SegmentInputStream::onFetchComplete(const Result<segmentstore::ReadResult>& r) {
     fetching_ = false;
     if (!r.isOk()) {
-        // Container offline mid-read is transient during failover; retry.
+        // Container offline mid-read is transient during a move or
+        // failover; the retry goes to the new owner.
         if (r.code() == Err::ContainerOffline || r.code() == Err::Timeout) {
             exec_.schedule(sim::msec(10), life_.guard([this]() { ensureFetching(); }));
             return;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "client/container_channel.h"
 #include "common/buf_chain.h"
 #include "common/bytes.h"
 #include "controller/controller.h"
@@ -18,9 +19,6 @@ namespace pravega::client {
 
 struct ReaderConfig {
     uint64_t fetchBytes = 256 * 1024;
-    uint64_t wireOverheadBytes = 64;
-    /// Reader-group coordination cadence (state-sync fetch interval).
-    sim::Duration syncInterval = sim::msec(100);
 };
 
 class SegmentInputStream {
@@ -50,16 +48,13 @@ public:
     /// must track the consumer's backlog, not the total bytes fetched).
     size_t bufferedBytes() const { return buffer_.size(); }
 
-    segmentstore::SegmentId segment() const { return uri_.record.id; }
-    const controller::SegmentUri& uri() const { return uri_; }
     bool failed() const { return failed_; }
 
 private:
     void onFetchComplete(const Result<segmentstore::ReadResult>& r);
 
     sim::Core& exec_;
-    sim::Network& net_;
-    sim::HostId clientHost_;
+    ContainerChannel channel_;
     controller::SegmentUri uri_;
     ReaderConfig cfg_;
     std::function<void()> onData_;

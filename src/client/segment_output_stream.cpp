@@ -10,43 +10,53 @@ namespace pravega::client {
 
 namespace {
 constexpr const char* kLog = "writer";
-}
+constexpr uint64_t kMaxBatchBytes = 1024 * 1024;        // upper bound on one block
+constexpr sim::Duration kMaxBatchTime = sim::msec(10);  // bound on the close timer
+constexpr sim::Duration kInitialRttGuess = sim::msec(1);
+}  // namespace
 
 SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
                                          sim::HostId clientHost,
-                                         segmentstore::SegmentStore* store, uint32_t containerId,
-                                         SegmentId segment, WriterId writerId, WriterConfig cfg,
-                                         SealedHandler onSealed)
+                                         const controller::SegmentUri& uri, WriterId writerId,
+                                         WriterConfig cfg, SealedHandler onSealed)
     : exec_(exec),
-      net_(net),
-      clientHost_(clientHost),
-      store_(store),
-      containerId_(containerId),
-      segment_(segment),
+      channel_(net, clientHost, uri),
+      containerId_(uri.containerId),
+      segment_(uri.record.id),
       writerId_(writerId),
       cfg_(cfg),
       onSealed_(std::move(onSealed)),
-      rttEstimateNs_(static_cast<double>(cfg.initialRttGuess)),
+      rttEstimateNs_(static_cast<double>(kInitialRttGuess)),
       mBlocks_(exec.metrics().counter("client.writer.blocks")),
       mEvents_(exec.metrics().counter("client.writer.events")),
       mBlockBytes_(exec.metrics().histogram("client.writer.block_bytes")),
       mBatchWaitNs_(exec.metrics().histogram("trace.write.0_client_batch_wait_ns")),
       mRttNs_(exec.metrics().histogram("client.writer.rtt_ns")) {
-    // SetupAppend handshake: fetch the last event number recorded for this
-    // writer id so a resumed writer continues from the right place (§3.2).
+    connect();
+}
+
+void SegmentOutputStream::connect() {
+    // SetupAppend handshake: bind the connection to the container's current
+    // owner and fetch the last event number recorded for this writer id, so
+    // a resumed writer continues from the right place (§3.2). A reconnecting
+    // writer has numbered its unacked blocks already and keeps its count.
     setupDone_ = false;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, life_.guard([this]() {
-        auto* container = store_->container(containerId_);
-        int64_t last = container
-                           ? container->getWriterLastEventNumber(segment_, writerId_)
-                           : segmentstore::AttributeIndex::kNullValue;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, life_.guard([this, last]() {
-            nextEventNumber_ =
-                last == segmentstore::AttributeIndex::kNullValue ? 0 : last + 1;
+    boundOwner_ = channel_.owner();
+    channel_.call<int64_t>(
+        life_, 0,
+        [segment = segment_, writer = writerId_](segmentstore::SegmentStore&,
+                                                 segmentstore::SegmentContainer& c) {
+            return sim::Future<int64_t>::ready(c.getWriterLastEventNumber(segment, writer));
+        },
+        connection_.guard([this](const Result<int64_t>& last) {
+            // A handshake that failed (the container moved while it was on
+            // the wire) keeps the count; trySend() then follows the move.
+            if (last.isOk() && last.value() != segmentstore::AttributeIndex::kNullValue) {
+                nextEventNumber_ = std::max(nextEventNumber_, last.value() + 1);
+            }
             setupDone_ = true;
             trySend();
         }));
-    }));
 }
 
 void SegmentOutputStream::write(BytesView payload, double keyHash, EventAck ack) {
@@ -78,7 +88,7 @@ uint64_t SegmentOutputStream::batchSizeEstimate() const {
     // bytes that arrive in RTT/2 at the current input rate).
     double halfRttSec = rttEstimateNs_ / 2.0 / 1e9;
     double bytesInHalfRtt = inputRateBytesPerSec_ * halfRttSec;
-    return std::min<uint64_t>(cfg_.maxBatchBytes,
+    return std::min<uint64_t>(kMaxBatchBytes,
                               std::max<uint64_t>(1, static_cast<uint64_t>(bytesInHalfRtt)));
 }
 
@@ -90,7 +100,7 @@ void SegmentOutputStream::maybeCloseBlock() {
     if (!closeTimerArmed_) {
         closeTimerArmed_ = true;
         sim::Duration wait = std::min<sim::Duration>(
-            cfg_.maxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
+            kMaxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
         exec_.schedule(std::max<sim::Duration>(wait, 1), closeTimer_.guard([this]() {
             closeTimerArmed_ = false;
             if (!open_.events.empty()) closeBlock();
@@ -117,10 +127,15 @@ void SegmentOutputStream::flush() {
 }
 
 void SegmentOutputStream::trySend() {
+    if (!setupDone_ || sendQueue_.empty()) return;
+    if (channel_.owner() != boundOwner_) {
+        // The container moved or failed over since the handshake (§4.4).
+        reconnect();
+        return;
+    }
     // Flow control: the outstanding window is how server-side backpressure
     // (WAL latency, LTS throttling) propagates into client-side queueing.
-    while (setupDone_ && !sendQueue_.empty() &&
-           outstandingBytes_ < cfg_.maxOutstandingBytes) {
+    while (!sendQueue_.empty() && outstandingBytes_ < cfg_.maxOutstandingBytes) {
         Block block = std::move(sendQueue_.front());
         sendQueue_.pop_front();
         sendBlock(std::move(block));
@@ -128,7 +143,7 @@ void SegmentOutputStream::trySend() {
 }
 
 void SegmentOutputStream::sendBlock(Block block) {
-    uint64_t wireBytes = block.payload.size() + cfg_.wireOverheadBytes;
+    uint64_t wireBytes = block.payload.size() + kWireOverheadBytes;
     outstandingBytes_ += wireBytes;
     block.sentAt = exec_.now();
     if (block.lastEventNumber < 0) {
@@ -150,45 +165,40 @@ void SegmentOutputStream::sendBlock(Block block) {
     uint32_t eventCount = static_cast<uint32_t>(block.events.size());
     inFlight_.push_back(std::move(block));
 
-    // An ack that arrives after the connection dropped is ignored.
-    auto onAck = connection_.guard([this, wireBytes](const Result<int64_t>& r) {
-        outstandingBytes_ -= std::min(outstandingBytes_, wireBytes);
-        assert(!inFlight_.empty());
-        Block acked = std::move(inFlight_.front());
-        inFlight_.pop_front();
-        sim::TimePoint at = acked.sentAt;
-        onBlockAck(std::move(acked), r, at);
-    });
-    auto deliverAck = life_.guard([this, onAck](const Result<int64_t>& r) {
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [onAck, r]() { onAck(r); });
-    });
-
-    net_.send(clientHost_, store_->host(), wireBytes,
-              life_.guard([this, payload, lastEventNumber, eventCount, deliverAck]() {
-                  auto* container = store_->container(containerId_);
-                  if (!container) {
-                      deliverAck(Result<int64_t>(Err::ContainerOffline, "container moved"));
-                      return;
-                  }
-                  // Capture ids by value: the server-side continuation may
-                  // outlive this stream object.
-                  SegmentId segment = segment_;
-                  WriterId writer = writerId_;
-                  store_->chargeRequest(containerId_, payload.size())
-                      .thenAsync([container, payload, segment, writer, lastEventNumber,
-                                  eventCount](const sim::Unit&) {
-                          return container->append(segment, payload, writer,
-                                                   lastEventNumber, eventCount);
-                      })
-                      .onComplete(deliverAck);
-              }));
+    channel_.call<int64_t>(
+        // Ids by value: the server-side continuation may outlive this
+        // stream object.
+        life_, payload.size(),
+        [cid = containerId_, segment = segment_, writer = writerId_, payload, lastEventNumber,
+         eventCount](segmentstore::SegmentStore& store, segmentstore::SegmentContainer&) {
+            return ContainerChannel::charged<int64_t>(
+                store, cid, payload.size(), [=](segmentstore::SegmentContainer& c) {
+                    return c.append(segment, payload, writer, lastEventNumber, eventCount);
+                });
+        },
+        // A reply from a dropped connection is ignored: it must never pop
+        // inFlight_, which the reconnect has already requeued.
+        connection_.guard([this, wireBytes](const Result<int64_t>& r) {
+            if ((r.code() == Err::ContainerOffline || r.code() == Err::Fenced) &&
+                channel_.owner() != boundOwner_) {
+                // The container moved or failed over under this block: resend
+                // from here to the new owner. An unchanged owner means it died
+                // in place and nothing reassigns it: reconnecting would spin.
+                reconnect();
+                return;
+            }
+            outstandingBytes_ -= std::min(outstandingBytes_, wireBytes);
+            assert(!inFlight_.empty());
+            Block acked = std::move(inFlight_.front());
+            inFlight_.pop_front();
+            onBlockAck(std::move(acked), r);
+        }));
 }
 
-void SegmentOutputStream::onBlockAck(Block block, const Result<int64_t>& result,
-                                     sim::TimePoint sentAt) {
-    double rttSample = static_cast<double>(exec_.now() - sentAt);
+void SegmentOutputStream::onBlockAck(Block block, const Result<int64_t>& result) {
+    double rttSample = static_cast<double>(exec_.now() - block.sentAt);
     rttEstimateNs_ = rttEstimateNs_ * 0.7 + rttSample * 0.3;
-    mRttNs_.record(exec_.now() - sentAt);
+    mRttNs_.record(exec_.now() - block.sentAt);
 
     if (result.isOk()) {
         for (auto& e : block.events) {
@@ -244,23 +254,17 @@ void SegmentOutputStream::handleSealed(Block first) {
     if (onSealed_) onSealed_(segment_, std::move(events));
 }
 
-void SegmentOutputStream::simulateReconnect() {
+void SegmentOutputStream::reconnect() {
     // Drop the connection: ignore in-flight acks, re-run the handshake and
     // retransmit everything unacknowledged. Server-side dedup (by writer id
     // and event number) turns retransmitted duplicates into no-op acks.
     connection_.reset();
-    setupDone_ = false;
     while (!inFlight_.empty()) {
         sendQueue_.push_front(std::move(inFlight_.back()));
         inFlight_.pop_back();
     }
     outstandingBytes_ = 0;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, life_.guard([this]() {
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, life_.guard([this]() {
-            setupDone_ = true;
-            trySend();
-        }));
-    }));
+    connect();
 }
 
 }  // namespace pravega::client

@@ -12,15 +12,19 @@
 // carries the count and last event number; on reconnect the server replies
 // with the last event number it recorded for this writer id and the stream
 // retransmits only what is missing.
+// A connection is bound to the owner its handshake went to; when a move
+// or failover (§4.4) changes the owner, the stream reconnects to the new
+// one (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 
+#include "client/container_channel.h"
 #include "common/bytes.h"
 #include "common/result.h"
-#include "segmentstore/segment_store.h"
+#include "controller/controller.h"
 #include "segmentstore/types.h"
 #include "sim/lifetime.h"
 #include "sim/network.h"
@@ -31,12 +35,7 @@ using segmentstore::SegmentId;
 using segmentstore::WriterId;
 
 struct WriterConfig {
-    uint64_t maxBatchBytes = 1024 * 1024;      // upper bound on one block
-    sim::Duration maxBatchTime = sim::msec(10);   // bound on the close timer
     uint64_t maxOutstandingBytes = 16 * 1024 * 1024;  // connection window
-    sim::Duration initialRttGuess = sim::msec(1);
-    /// Per-request wire overhead (protocol framing).
-    uint64_t wireOverheadBytes = 64;
 };
 
 /// Callback invoked when an event is durably acknowledged (or failed).
@@ -62,8 +61,7 @@ public:
     using SealedHandler = std::function<void(SegmentId, std::vector<ResendEvent>)>;
 
     SegmentOutputStream(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                        segmentstore::SegmentStore* store, uint32_t containerId,
-                        SegmentId segment, WriterId writerId, WriterConfig cfg,
+                        const controller::SegmentUri& uri, WriterId writerId, WriterConfig cfg,
                         SealedHandler onSealed);
 
     SegmentOutputStream(const SegmentOutputStream&) = delete;
@@ -75,17 +73,13 @@ public:
     /// Forces the open block out (used on writer flush()).
     void flush();
 
-    /// Simulates a connection drop: outstanding blocks are considered
+    /// Drops the connection: outstanding blocks are considered
     /// unacknowledged and are retransmitted after the reconnect handshake,
     /// relying on server-side dedup for exactly-once (§3.2).
-    void simulateReconnect();
+    void reconnect();
 
     SegmentId segment() const { return segment_; }
     bool sealed() const { return sealedSeen_; }
-    uint64_t outstandingBytes() const { return outstandingBytes_; }
-    uint64_t queuedBlocks() const { return sendQueue_.size(); }
-    sim::Duration estimatedRtt() const { return static_cast<sim::Duration>(rttEstimateNs_); }
-    int64_t nextEventNumber() const { return nextEventNumber_; }
 
 private:
     struct Block {
@@ -100,18 +94,17 @@ private:
         sim::TimePoint sentAt = 0;
     };
 
+    void connect();
     uint64_t batchSizeEstimate() const;
     void maybeCloseBlock();
     void closeBlock();
     void trySend();
     void sendBlock(Block block);
-    void onBlockAck(Block block, const Result<int64_t>& result, sim::TimePoint sentAt);
+    void onBlockAck(Block block, const Result<int64_t>& result);
     void handleSealed(Block first);
 
     sim::Core& exec_;
-    sim::Network& net_;
-    sim::HostId clientHost_;
-    segmentstore::SegmentStore* store_;
+    ContainerChannel channel_;
     uint32_t containerId_;
     SegmentId segment_;
     WriterId writerId_;
@@ -128,6 +121,7 @@ private:
     int64_t nextEventNumber_ = 0;
     bool sealedSeen_ = false;
     bool setupDone_ = false;
+    segmentstore::SegmentStore* boundOwner_ = nullptr;  // answered the handshake
 
     // Tracking heuristic state.
     double rttEstimateNs_;

@@ -21,6 +21,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "client/container_channel.h"
 #include "client/framing.h"
 #include "common/bytes.h"
 #include "controller/controller.h"
@@ -35,13 +36,9 @@ namespace pravega::client {
 template <typename State>
 class StateSynchronizer {
 public:
-    StateSynchronizer(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                      controller::SegmentUri uri, uint64_t wireOverheadBytes = 64)
-        : exec_(exec),
-          net_(net),
-          clientHost_(clientHost),
-          uri_(std::move(uri)),
-          wireOverhead_(wireOverheadBytes) {}
+    StateSynchronizer(sim::Core& /*exec*/, sim::Network& net, sim::HostId clientHost,
+                      const controller::SegmentUri& uri)
+        : channel_(net, clientHost, uri), segment_(uri.record.id) {}
 
     StateSynchronizer(const StateSynchronizer&) = delete;
     StateSynchronizer& operator=(const StateSynchronizer&) = delete;
@@ -113,12 +110,13 @@ private:
 
     /// Reads [offset_, tail) and applies it; `cb(status)` on completion.
     void doFetch(std::function<void(Status)> cb) {
-        auto* container = uri_.store->container(uri_.containerId);
+        // Peeking at the tail is modelled as free: no network hop.
+        auto* container = channel_.container();
         if (!container) {
             cb(Status(Err::ContainerOffline, "sync segment offline"));
             return;
         }
-        auto info = container->getInfo(uri_.record.id);
+        auto info = container->getInfo(segment_);
         if (!info) {
             cb(info.status());
             return;
@@ -127,30 +125,20 @@ private:
             cb(Status::ok());
             return;
         }
-        int64_t want = info.value().length - offset_;
-        net_.send(clientHost_, uri_.store->host(), wireOverhead_,
-                  life_.guard([this, want, cb = std::move(cb)]() mutable {
-                      auto* c = uri_.store->container(uri_.containerId);
-                      if (!c) {
-                          cb(Status(Err::ContainerOffline, ""));
-                          return;
-                      }
-                      c->read(uri_.record.id, offset_, want)
-                          .onComplete(life_.guard([this, cb = std::move(cb)](
-                                          const Result<segmentstore::ReadResult>& r) mutable {
-                              uint64_t bytes =
-                                  wireOverhead_ + (r.isOk() ? r.value().data.size() : 0);
-                              net_.send(uri_.store->host(), clientHost_, bytes,
-                                        life_.guard([this, cb = std::move(cb), r]() mutable {
-                                            if (!r.isOk()) {
-                                                cb(r.status());
-                                                return;
-                                            }
-                                            applyUpdates(BytesView(r.value().data));
-                                            cb(Status::ok());
-                                        }));
-                          }));
-                  }));
+        channel_.call<segmentstore::ReadResult>(
+            life_, 0,
+            [id = segment_, offset = offset_, want = info.value().length - offset_](
+                segmentstore::SegmentStore&, segmentstore::SegmentContainer& c) {
+                return c.read(id, offset, want);
+            },
+            life_.guard([this, cb = std::move(cb)](const Result<segmentstore::ReadResult>& r) {
+                if (!r.isOk()) {
+                    cb(r.status());
+                    return;
+                }
+                applyUpdates(BytesView(r.value().data));
+                cb(Status::ok());
+            }));
     }
 
     void attempt(std::function<std::optional<Bytes>(const State&)> generator,
@@ -172,47 +160,32 @@ private:
             Bytes framed;
             encodeEvent(framed, BytesView(*update));
             auto buf = SharedBuf(std::move(framed));
-            int64_t expected = offset_;
-            net_.send(
-                clientHost_, uri_.store->host(), buf.size() + wireOverhead_,
-                life_.guard([this, buf, expected, generator = std::move(generator), done,
-                             tries]() mutable {
-                    auto* c = uri_.store->container(uri_.containerId);
-                    if (!c) {
-                        finish(done, Status(Err::ContainerOffline));
+            channel_.call<int64_t>(
+                life_, buf.size(),
+                [id = segment_, buf, expected = offset_](segmentstore::SegmentStore&,
+                                                         segmentstore::SegmentContainer& c) {
+                    return c.conditionalAppend(id, buf, expected);
+                },
+                life_.guard([this, buf, generator = std::move(generator), done,
+                             tries](const Result<int64_t>& r) mutable {
+                    if (r.isOk()) {
+                        // Our own update: apply locally.
+                        applyUpdates(buf.view());
+                        finish(done, true);
                         return;
                     }
-                    c->conditionalAppend(uri_.record.id, buf, expected)
-                        .onComplete(life_.guard([this, buf, generator = std::move(generator),
-                                                 done, tries](const Result<int64_t>& r) mutable {
-                            net_.send(
-                                uri_.store->host(), clientHost_, wireOverhead_,
-                                life_.guard([this, buf, generator = std::move(generator), done,
-                                             tries, r]() mutable {
-                                    if (r.isOk()) {
-                                        // Our own update: apply locally.
-                                        applyUpdates(buf.view());
-                                        finish(done, true);
-                                        return;
-                                    }
-                                    if (r.code() == Err::BadOffset) {
-                                        // Lost the race: catch up, retry.
-                                        attempt(std::move(generator), std::move(done),
-                                                tries + 1);
-                                        return;
-                                    }
-                                    finish(done, r.status());
-                                }));
-                        }));
+                    if (r.code() == Err::BadOffset) {
+                        // Lost the race: catch up, retry.
+                        attempt(std::move(generator), std::move(done), tries + 1);
+                        return;
+                    }
+                    finish(done, r.status());
                 }));
         });
     }
 
-    sim::Core& exec_;
-    sim::Network& net_;
-    sim::HostId clientHost_;
-    controller::SegmentUri uri_;
-    uint64_t wireOverhead_;
+    ContainerChannel channel_;
+    segmentstore::SegmentId segment_;
     State state_;
     int64_t offset_ = 0;
     bool busy_ = false;

@@ -70,9 +70,12 @@ public:
                      const std::vector<segmentstore::SegmentStore*>& survivors);
 
     /// Gracefully moves one container to `target`: the current owner shuts
-    /// it down (pending ops fail, clients retry against the new owner),
-    /// then `target` runs recovery + WAL fencing. The load-aware
-    /// rebalancer's primitive; a no-op when `target` already owns it.
+    /// it down (pending ops fail ContainerOffline, except appends in WAL
+    /// flight, whose completions are dropped), then `target` runs recovery +
+    /// WAL fencing. Clients retry against the new owner: every client
+    /// request resolves the owner here at send time (client::ContainerChannel).
+    /// The load-aware rebalancer's primitive; a no-op when `target` already
+    /// owns it.
     Status moveContainer(uint32_t containerId, segmentstore::SegmentStore* target);
 
     segmentstore::SegmentStore* ownerOf(uint32_t containerId) const;

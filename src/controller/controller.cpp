@@ -177,11 +177,7 @@ Result<std::vector<SegmentUri>> Controller::getCurrentSegments(
     auto it = streams_.find(scopedName);
     if (it == streams_.end()) return Status(Err::NotFound, scopedName);
     std::vector<SegmentUri> out;
-    for (const auto& seg : it->second.currentEpoch().segments) {
-        auto uri = uriOf(seg.id);
-        if (!uri) return uri.status();
-        out.push_back(uri.value());
-    }
+    for (const auto& seg : it->second.currentEpoch().segments) out.push_back(uriFor(seg));
     return out;
 }
 
@@ -189,11 +185,7 @@ Result<std::vector<SegmentUri>> Controller::getHeadSegments(const std::string& s
     auto it = streams_.find(scopedName);
     if (it == streams_.end()) return Status(Err::NotFound, scopedName);
     std::vector<SegmentUri> out;
-    for (const auto& seg : it->second.epochs().front().segments) {
-        auto uri = uriOf(seg.id);
-        if (!uri) return uri.status();
-        out.push_back(uri.value());
-    }
+    for (const auto& seg : it->second.epochs().front().segments) out.push_back(uriFor(seg));
     return out;
 }
 
@@ -218,39 +210,27 @@ Result<SegmentUri> Controller::createInternalSegment(const std::string& name, bo
     SegmentId id = segmentstore::makeSegmentId(0, nextSegmentNumber_++);
     SegmentRecord rec{id, 0.0, 1.0};
     internalSegments_[id] = rec;
-    SegmentUri uri;
-    uri.record = rec;
-    uri.containerId = pravega::containerFor(id, registry_.containerCount());
-    uri.store = registry_.ownerOf(uri.containerId);
-    if (!uri.store) return Status(Err::ContainerOffline, "container unassigned");
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = containerOf(id);
     if (!container) return Status(Err::ContainerOffline, "container offline");
     container->createSegment(id, name, isTable);
-    return uri;
+    return uriFor(rec);
+}
+
+SegmentUri Controller::uriFor(const SegmentRecord& record) const {
+    return SegmentUri{record, pravega::containerFor(record.id, registry_.containerCount()),
+                      &registry_};
 }
 
 Result<SegmentUri> Controller::uriOf(SegmentId segment) const {
     auto iit = internalSegments_.find(segment);
-    if (iit != internalSegments_.end()) {
-        SegmentUri uri;
-        uri.record = iit->second;
-        uri.containerId = pravega::containerFor(segment, registry_.containerCount());
-        uri.store = registry_.ownerOf(uri.containerId);
-        if (!uri.store) return Status(Err::ContainerOffline, "container unassigned");
-        return uri;
-    }
+    if (iit != internalSegments_.end()) return uriFor(iit->second);
     auto sit = segmentToStream_.find(segment);
     if (sit == segmentToStream_.end()) return Status(Err::NotFound, "unknown segment");
     auto it = streams_.find(sit->second);
     if (it == streams_.end()) return Status(Err::NotFound, "stream deleted");
     auto rec = it->second.findSegment(segment);
     if (!rec) return rec.status();
-    SegmentUri uri;
-    uri.record = rec.value();
-    uri.containerId = pravega::containerFor(segment, registry_.containerCount());
-    uri.store = registry_.ownerOf(uri.containerId);
-    if (!uri.store) return Status(Err::ContainerOffline, "container unassigned");
-    return uri;
+    return uriFor(rec.value());
 }
 
 Result<std::string> Controller::streamOf(SegmentId segment) const {

@@ -21,11 +21,14 @@
 
 namespace pravega::controller {
 
-/// Where a client should direct traffic for a segment.
+/// Where a client should direct traffic for a segment: its container, and
+/// the registry that names the container's owner. The owner itself is not
+/// cached here — a move or failover changes it (§4.4) — so clients ask the
+/// registry on every request (client::ContainerChannel).
 struct SegmentUri {
     SegmentRecord record;
     uint32_t containerId = 0;
-    segmentstore::SegmentStore* store = nullptr;
+    cluster::ContainerRegistry* registry = nullptr;
 };
 
 class Controller {
@@ -89,6 +92,7 @@ private:
     friend class AutoScaler;
 
     segmentstore::SegmentContainer* containerOf(SegmentId segment) const;
+    SegmentUri uriFor(const SegmentRecord& record) const;
     sim::Future<sim::Unit> createSegmentObjects(const std::string& scopedName,
                                                 const std::vector<SegmentRecord>& records);
     void persist(const std::string& scopedName);

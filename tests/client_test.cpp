@@ -66,7 +66,7 @@ TEST_F(ClientFixture, WriterBatchesEvents) {
     // The segment received far fewer appends than events (client batching
     // + server-side frame batching).
     auto uri = cluster.ctrl().getCurrentSegments("sc/st").value()[0];
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = uri.registry->containerFor(uri.containerId);
     EXPECT_LT(container->walLog().nextSequence(), 200);
 }
 
@@ -488,7 +488,7 @@ TEST_F(ClientFixture, ExactlyOneClientSideCopyPerPayloadByte) {
 TEST_F(ClientFixture, CorruptFrameFailsTheStreamAndCounts) {
     makeStream();
     auto uri = cluster.ctrl().getCurrentSegments("sc/st").value()[0];
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = uri.registry->containerFor(uri.containerId);
     ASSERT_NE(container, nullptr);
     // Append raw garbage that parses as a frame with an absurd length
     // prefix (> kMaxEventBytes).

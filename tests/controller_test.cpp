@@ -163,8 +163,8 @@ TEST_F(ControllerFixture, CreateStreamCreatesSegments) {
     ASSERT_TRUE(segments.isOk());
     ASSERT_EQ(segments.value().size(), 4u);
     for (const auto& uri : segments.value()) {
-        ASSERT_NE(uri.store, nullptr);
-        auto* container = uri.store->container(uri.containerId);
+        ASSERT_NE(uri.registry, nullptr);
+        auto* container = uri.registry->containerFor(uri.containerId);
         ASSERT_NE(container, nullptr);
         EXPECT_TRUE(container->getInfo(uri.record.id).isOk());
     }
@@ -196,7 +196,7 @@ TEST_F(ControllerFixture, ScaleSealsBeforeExposingSuccessors) {
     // The old segment is sealed in its container...
     auto uri = cluster.ctrl().uriOf(s0);
     ASSERT_TRUE(uri.isOk());
-    EXPECT_TRUE(uri.value().store->container(uri.value().containerId)
+    EXPECT_TRUE(uri.value().registry->containerFor(uri.value().containerId)
                     ->getInfo(s0)
                     .value()
                     .sealed);
@@ -230,7 +230,8 @@ TEST_F(ControllerFixture, SealStreamSealsAllSegments) {
     auto sealedSegs = cluster.ctrl().getCurrentSegments("sc/st");
     ASSERT_TRUE(sealedSegs.isOk());
     for (const auto& uri : sealedSegs.value()) {
-        EXPECT_TRUE(uri.store->container(uri.containerId)->getInfo(uri.record.id).value().sealed);
+        auto* container = uri.registry->containerFor(uri.containerId);
+        EXPECT_TRUE(container->getInfo(uri.record.id).value().sealed);
     }
     // Scaling a sealed stream fails.
     SegmentId s0 = cluster.ctrl().getCurrentSegments("sc/st").value()[0].record.id;
@@ -254,7 +255,7 @@ TEST_F(ControllerFixture, DeleteStreamRemovesSegments) {
     cluster.runUntil([&]() { return del.isReady(); }, sim::sec(5));
     EXPECT_TRUE(del.result().isOk());
     EXPECT_FALSE(cluster.ctrl().streamExists("sc/st"));
-    EXPECT_EQ(uri.store->container(uri.containerId)->getInfo(s0).code(), Err::NotFound);
+    EXPECT_EQ(uri.registry->containerFor(uri.containerId)->getInfo(s0).code(), Err::NotFound);
 }
 
 TEST_F(ControllerFixture, TruncateStreamAppliesCut) {
@@ -268,7 +269,7 @@ TEST_F(ControllerFixture, TruncateStreamAppliesCut) {
     auto fut = cluster.ctrl().truncateStream("sc/st", {{s0, 500}});
     ASSERT_TRUE(cluster.runUntil([&]() { return fut.isReady(); }, sim::sec(5)));
     auto uri = cluster.ctrl().uriOf(s0).value();
-    EXPECT_EQ(uri.store->container(uri.containerId)->getInfo(s0).value().startOffset, 500);
+    EXPECT_EQ(uri.registry->containerFor(uri.containerId)->getInfo(s0).value().startOffset, 500);
 }
 
 TEST_F(ControllerFixture, SizeRetentionTruncatesOldData) {
@@ -284,7 +285,7 @@ TEST_F(ControllerFixture, SizeRetentionTruncatesOldData) {
 
     SegmentId s0 = cluster.ctrl().getCurrentSegments("sc/st").value()[0].record.id;
     auto uri = cluster.ctrl().uriOf(s0).value();
-    auto info = uri.store->container(uri.containerId)->getInfo(s0).value();
+    auto info = uri.registry->containerFor(uri.containerId)->getInfo(s0).value();
     EXPECT_GT(info.startOffset, 0);
     EXPECT_LE(info.length - info.startOffset, 4096 + 512);
 }

@@ -247,6 +247,73 @@ TEST_F(ClusterFailureFixture, TwoSequentialStoreCrashes) {
     }
 }
 
+TEST_F(ClusterFailureFixture, WriterFollowsStoreCrash) {
+    // One writer spans the crash of its container's store: the registry
+    // names a survivor, so the writer reconnects there and the second
+    // burst lands exactly once, after the first (§4.4, §3.2).
+    ASSERT_TRUE(cluster.createStream("sc", "st", StreamConfig{}).isOk());
+    auto writer = cluster.makeWriter("sc/st");
+    int acked = 0;
+    auto writeBurst = [&](const std::string& tag) {
+        for (int i = 0; i < 20; ++i) {
+            writer->writeEvent("k", toBytes(tag + std::to_string(i)),
+                               [&](Status s) { acked += s.isOk() ? 1 : 0; });
+        }
+        writer->flush();
+        cluster.runUntilIdle();
+    };
+    writeBurst("a");
+    ASSERT_EQ(acked, 20);
+
+    uint32_t cid = cluster.ctrl().getCurrentSegments("sc/st").value().at(0).containerId;
+    sim::HostId ownerHost = cluster.registry().ownerOf(cid)->host();
+    size_t victim = 0;
+    while (cluster.storeHost(victim) != ownerHost) ++victim;
+    ASSERT_TRUE(cluster.crashStore(victim).isOk());
+    cluster.runUntilIdle();
+    writeBurst("b");
+    EXPECT_EQ(acked, 40);
+
+    auto group = cluster.makeReaderGroup("g", {"sc/st"});
+    auto reader = group.value()->createReader("r", cluster.newClientHost());
+    for (int i = 0; i < 40; ++i) {
+        auto fut = reader->readNextEvent();
+        ASSERT_TRUE(cluster.runUntil([&]() { return fut.isReady(); }, sim::sec(10))) << i;
+        ASSERT_TRUE(fut.result().isOk()) << fut.result().status().toString();
+        std::string want = (i < 20 ? "a" : "b") + std::to_string(i % 20);
+        EXPECT_EQ(toString(BytesView(fut.result().value().payload)), want);
+    }
+    auto extra = reader->readNextEvent();
+    cluster.runFor(sim::sec(1));
+    EXPECT_FALSE(extra.isReady()) << "an event was delivered twice";
+}
+
+TEST_F(ClusterFailureFixture, WriterFailsWhenContainerDiesInPlace) {
+    // Every bookie down: the container's WAL loses quorum and the container
+    // shuts itself down, but stays registered to its store. The writer must
+    // fail the events rather than reconnect to the same owner forever.
+    ASSERT_TRUE(cluster.createStream("sc", "st", StreamConfig{}).isOk());
+    auto writer = cluster.makeWriter("sc/st");
+    writer->writeEvent("k", toBytes("before"));
+    writer->flush();
+    cluster.runUntilIdle();
+    for (size_t b = 0; b < 3; ++b) ASSERT_TRUE(cluster.crashBookie(b).isOk());
+    // The first block's WAL write fails and takes the container offline;
+    // the second block reaches the offline container.
+    for (int round = 0; round < 2; ++round) {
+        int done = 0, ok = 0;
+        for (int i = 0; i < 5; ++i) {
+            writer->writeEvent("k", toBytes("after" + std::to_string(i)), [&](Status s) {
+                ++done;
+                ok += s.isOk() ? 1 : 0;
+            });
+        }
+        writer->flush();
+        ASSERT_TRUE(cluster.runUntil([&]() { return done == 5; }, sim::sec(30))) << round;
+        EXPECT_EQ(ok, 0);
+    }
+}
+
 TEST_F(ClusterFailureFixture, CrashDuringActiveReaders) {
     ASSERT_TRUE(cluster.createStream("sc", "st", StreamConfig{}).isOk());
     auto writer = cluster.makeWriter("sc/st");

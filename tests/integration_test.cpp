@@ -164,7 +164,7 @@ TEST_F(IntegrationFixture, HistoricalCatchUpReadsFromLts) {
 
     auto segments = tiered.ctrl().getCurrentSegments("sc/st");
     auto& uri = segments.value()[0];
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = uri.registry->containerFor(uri.containerId);
     ASSERT_GT(container->getInfo(uri.record.id).value().storageLength, 0);
 
     auto group = tiered.makeReaderGroup("g", {"sc/st"});
@@ -200,7 +200,7 @@ TEST_F(IntegrationFixture, WalBoundedByTiering) {
     tiered.runFor(sim::sec(2));
 
     auto uri = tiered.ctrl().getCurrentSegments("sc/st").value()[0];
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = uri.registry->containerFor(uri.containerId);
     EXPECT_GT(container->walTruncations(), 0u);
     EXPECT_LT(container->walLog().ledgerCount(), 8u);
     // ~10 MB written; the bookies must hold far less than that.

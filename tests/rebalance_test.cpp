@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "client/event_reader.h"
 #include "cluster/pravega_cluster.h"
 #include "controller/quota.h"
 #include "controller/rebalancer.h"
@@ -154,6 +157,97 @@ TEST_F(RebalanceFixture, MovedContainerRecoversAndServesAppends) {
     // The monotonic counter restarted with the new instance (recovery
     // replay does not count) — the rebalancer's clamp depends on this.
     EXPECT_EQ(moved->totalBytesIn(), 256u);
+}
+
+// Writes `n` events tagged `tag` through `writer` and runs until they settle;
+// returns how many were acknowledged OK.
+int writeBurst(PravegaCluster& cluster, client::EventWriter& writer, const std::string& tag,
+               int n) {
+    int acked = 0;
+    for (int i = 0; i < n; ++i) {
+        writer.writeEvent("k", toBytes(tag + std::to_string(i)),
+                          [&acked](Status s) { acked += s.isOk() ? 1 : 0; });
+    }
+    writer.flush();
+    cluster.runUntilIdle();
+    return acked;
+}
+
+// Reads `n` events through `reader` (fewer if one does not arrive).
+std::vector<std::string> readEvents(PravegaCluster& cluster, client::EventReader& reader,
+                                    int n) {
+    std::vector<std::string> got;
+    for (int i = 0; i < n; ++i) {
+        auto fut = reader.readNextEvent();
+        if (!cluster.runUntil([&]() { return fut.isReady(); }, sim::sec(10)) ||
+            !fut.result().isOk()) {
+            return got;
+        }
+        got.push_back(toString(BytesView(fut.result().value().payload)));
+    }
+    return got;
+}
+
+// Exactly-once: after every expected event, nothing more is delivered. The
+// read stays outstanding, so call this last.
+void expectNoMoreEvents(PravegaCluster& cluster, client::EventReader& reader) {
+    auto extra = reader.readNextEvent();
+    cluster.runFor(sim::sec(1));
+    EXPECT_FALSE(extra.isReady()) << "an event was delivered twice";
+}
+
+std::vector<std::string> tagged(const std::string& tag, int n) {
+    std::vector<std::string> out;
+    for (int i = 0; i < n; ++i) out.push_back(tag + std::to_string(i));
+    return out;
+}
+
+// Moves the container hosting the stream's only segment to another store.
+void moveStreamContainer(PravegaCluster& cluster, const std::string& stream) {
+    uint32_t cid = cluster.ctrl().getCurrentSegments(stream).value().at(0).containerId;
+    auto* oldOwner = cluster.registry().ownerOf(cid);
+    auto* target = cluster.stores()[0] == oldOwner ? cluster.stores()[1] : cluster.stores()[0];
+    ASSERT_TRUE(cluster.registry().moveContainer(cid, target).isOk());
+    cluster.runUntilIdle();
+    ASSERT_EQ(cluster.registry().ownerOf(cid), target);
+}
+
+TEST_F(RebalanceFixture, WriterFollowsContainerMove) {
+    // One writer spans the move: its next block finds a new owner in the
+    // registry, so it reconnects there instead of failing (§4.4).
+    ASSERT_TRUE(cluster.createStream("sc", "moved", controller::StreamConfig{}).isOk());
+    auto writer = cluster.makeWriter("sc/moved");
+    EXPECT_EQ(writeBurst(cluster, *writer, "a", 20), 20);
+    moveStreamContainer(cluster, "sc/moved");
+    EXPECT_EQ(writeBurst(cluster, *writer, "b", 20), 20);
+
+    auto group = cluster.makeReaderGroup("g", {"sc/moved"});
+    ASSERT_TRUE(group.isOk());
+    auto reader = group.value()->createReader("r", cluster.newClientHost());
+    auto expected = tagged("a", 20);
+    auto second = tagged("b", 20);
+    expected.insert(expected.end(), second.begin(), second.end());
+    EXPECT_EQ(readEvents(cluster, *reader, 40), expected);
+    expectNoMoreEvents(cluster, *reader);
+}
+
+TEST_F(RebalanceFixture, ReaderFollowsContainerMove) {
+    // A reader opened before the move keeps tail-reading after it: its
+    // parked fetch fails ContainerOffline and the retry reaches the new
+    // owner.
+    ASSERT_TRUE(cluster.createStream("sc", "tail", controller::StreamConfig{}).isOk());
+    auto group = cluster.makeReaderGroup("g", {"sc/tail"});
+    ASSERT_TRUE(group.isOk());
+    auto reader = group.value()->createReader("r", cluster.newClientHost());
+    auto first = cluster.makeWriter("sc/tail");
+    EXPECT_EQ(writeBurst(cluster, *first, "a", 20), 20);
+    EXPECT_EQ(readEvents(cluster, *reader, 20), tagged("a", 20));
+
+    moveStreamContainer(cluster, "sc/tail");
+    auto second = cluster.makeWriter("sc/tail");
+    EXPECT_EQ(writeBurst(cluster, *second, "b", 20), 20);
+    EXPECT_EQ(readEvents(cluster, *reader, 20), tagged("b", 20));
+    expectNoMoreEvents(cluster, *reader);
 }
 
 TEST_F(RebalanceFixture, StopDuringPollRegression) {

@@ -22,7 +22,7 @@ struct BatchingFixture : public ::testing::Test {
     PravegaCluster cluster{clusterCfg()};
 
     segmentstore::SegmentContainer* containerOf(const controller::SegmentUri& uri) {
-        return uri.store->container(uri.containerId);
+        return uri.registry->containerFor(uri.containerId);
     }
 };
 
@@ -87,7 +87,7 @@ TEST_F(BatchingFixture, FrameDelayFormulaRespectsBound) {
     PravegaCluster c2(ccfg);
     ASSERT_TRUE(c2.createStream("sc", "st", StreamConfig{}).isOk());
     auto uri = c2.ctrl().getCurrentSegments("sc/st").value()[0];
-    auto* container = uri.store->container(uri.containerId);
+    auto* container = uri.registry->containerFor(uri.containerId);
     EXPECT_GE(container->currentBatchDelay(), 0);
     EXPECT_LE(container->currentBatchDelay(), sim::msec(5));
 
