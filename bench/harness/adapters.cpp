@@ -35,6 +35,27 @@ SendFn throttleClient(std::shared_ptr<ClientStack> stack,
     };
 }
 
+/// Adapts the harness's `ack(ok)` to a client's status callback. No ack
+/// stays no callback, so the client skips the completion altogether.
+std::function<void(Status)> statusAck(std::function<void(bool)> ack) {
+    if (!ack) return {};
+    return [ack = std::move(ack)](Status s) { ack(s.isOk()); };
+}
+
+/// A Kafka or Pulsar producer behind its client stack.
+template <typename BaselineProducer>
+Producer baselineProducer(sim::Core& exec, BaselineProducer* producer, sim::Duration perEvent,
+                          double perByteNs) {
+    Producer p;
+    p.send = throttleClient(std::make_shared<ClientStack>(exec, perEvent, perByteNs),
+                            [producer](std::string key, uint32_t size,
+                                       std::function<void(bool)> ack) {
+                                producer->send(key, size, statusAck(std::move(ack)));
+                            });
+    p.flush = [producer]() { producer->flush(); };
+    return p;
+}
+
 /// Builds an event payload of `size` bytes carrying the send timestamp in
 /// its first 8 bytes (how Pravega readers compute end-to-end latency; the
 /// baselines track produce timestamps internally).
@@ -124,17 +145,13 @@ std::unique_ptr<PravegaWorld> makePravega(const PravegaOptions& opt) {
         world->writers.push_back(world->cluster->makeWriter("bench/stream", opt.writer));
         client::EventWriter* writer = world->writers.back().get();
         sim::Machine* exec = &world->exec();
-        auto stack = std::make_shared<ClientStack>(*exec, ClientCosts::kPravegaPerEvent, ClientCosts::kPravegaPerByteNs);
+        auto stack = std::make_shared<ClientStack>(*exec, ClientCosts::kPravegaPerEvent,
+                                                   ClientCosts::kPravegaPerByteNs);
         Producer p;
         p.send = throttleClient(stack, [writer, exec](std::string key, uint32_t size,
                                                       std::function<void(bool)> ack) {
             Bytes payload = stampedPayload(exec->now(), size);
-            if (ack) {
-                writer->writeEvent(key, BytesView(payload),
-                                   [ack = std::move(ack)](Status s) { ack(s.isOk()); });
-            } else {
-                writer->writeEvent(key, BytesView(payload));
-            }
+            writer->writeEvent(key, BytesView(payload), statusAck(std::move(ack)));
         });
         p.flush = [writer]() { writer->flush(); };
         world->producers.push_back(std::move(p));
@@ -165,19 +182,9 @@ std::unique_ptr<KafkaWorld> makeKafka(const KafkaOptions& opt) {
     }
     for (int i = 0; i < opt.numProducers; ++i) {
         world->kproducers.push_back(world->cluster->makeProducer(1000 + i, "bench"));
-        baselines::KafkaProducer* producer = world->kproducers.back().get();
-        auto stack = std::make_shared<ClientStack>(world->exec(), ClientCosts::kKafkaPerEvent, ClientCosts::kKafkaPerByteNs);
-        Producer p;
-        p.send = throttleClient(stack, [producer](std::string key, uint32_t size,
-                                                  std::function<void(bool)> ack) {
-            if (ack) {
-                producer->send(key, size, [ack = std::move(ack)](Status s) { ack(s.isOk()); });
-            } else {
-                producer->send(key, size, {});
-            }
-        });
-        p.flush = [producer]() { producer->flush(); };
-        world->producers.push_back(std::move(p));
+        world->producers.push_back(baselineProducer(world->exec(), world->kproducers.back().get(),
+                                                    ClientCosts::kKafkaPerEvent,
+                                                    ClientCosts::kKafkaPerByteNs));
     }
     return world;
 }
@@ -222,19 +229,9 @@ std::unique_ptr<PulsarWorld> makePulsar(const PulsarOptions& opt) {
     }
     for (int i = 0; i < opt.numProducers; ++i) {
         world->pproducers.push_back(world->cluster->makeProducer(1000 + i, "bench"));
-        baselines::PulsarProducer* producer = world->pproducers.back().get();
-        auto stack = std::make_shared<ClientStack>(world->exec(), ClientCosts::kPulsarPerEvent, ClientCosts::kPulsarPerByteNs);
-        Producer p;
-        p.send = throttleClient(stack, [producer](std::string key, uint32_t size,
-                                                  std::function<void(bool)> ack) {
-            if (ack) {
-                producer->send(key, size, [ack = std::move(ack)](Status s) { ack(s.isOk()); });
-            } else {
-                producer->send(key, size, {});
-            }
-        });
-        p.flush = [producer]() { producer->flush(); };
-        world->producers.push_back(std::move(p));
+        world->producers.push_back(baselineProducer(world->exec(), world->pproducers.back().get(),
+                                                    ClientCosts::kPulsarPerEvent,
+                                                    ClientCosts::kPulsarPerByteNs));
     }
     return world;
 }

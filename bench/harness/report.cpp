@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.h"
+
 namespace pravega::bench {
 
 namespace {
@@ -21,28 +23,6 @@ std::string jsonNumber(double v) {
         std::snprintf(buf, sizeof(buf), "%.9g", v);
     }
     return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 void appendKvObject(std::string& out,

@@ -195,25 +195,16 @@ BENCH_SMOKE=1 BENCH_DUMP_METRICS=1 BENCH_OUT_DIR="${DET_A}" \
   "${BENCH_DIR}/bench_micro_core" > "${DET_A}/stdout.txt"
 BENCH_SMOKE=1 BENCH_DUMP_METRICS=1 BENCH_OUT_DIR="${DET_B}" \
   "${BENCH_DIR}/bench_micro_core" > "${DET_B}/stdout.txt"
-# Scrub the (path-bearing) "wrote ..." line and the wall-clock engine and
-# codec rows (events_per_sec and the codec MB/s are real time, everything
-# else derives from virtual time or fixed inputs) before comparing stdout.
-sed -i '/^# wrote /d; /events_per_sec/d; /crc32_mbps/d' "${DET_A}/stdout.txt" "${DET_B}/stdout.txt"
-python3 - "${DET_A}/BENCH_micro_core.json" "${DET_B}/BENCH_micro_core.json" <<'PY'
-import json, sys
-
-WALL_CLOCK = ("events_per_sec", "crc32_mbps", "encode_mbps")  # volatile
-docs = []
-for path in sys.argv[1:3]:
-    d = json.load(open(path))
-    for row in d["rows"]:
-        for key in WALL_CLOCK:
-            row["values"].pop(key, None)
-    docs.append(d)
-assert docs[0] == docs[1], \
-    f"BENCH_micro_core.json differs between same-seed runs (beyond {WALL_CLOCK})"
-print("determinism OK: JSON byte-identical modulo the wall-clock rates")
-PY
+# Scrub the (path-bearing) "wrote ..." line and the lines carrying a
+# wall-clock column (the engine and codec rows; see bench_json_diff.py)
+# before comparing stdout.
+WALL_CLOCK_RE="$(python3 scripts/bench_json_diff.py --keys | paste -sd'|')"
+sed -i -E "/^# wrote /d; /${WALL_CLOCK_RE}/d" "${DET_A}/stdout.txt" "${DET_B}/stdout.txt"
+python3 scripts/bench_json_diff.py \
+    "${DET_A}/BENCH_micro_core.json" "${DET_B}/BENCH_micro_core.json" \
+  || { echo "BENCH_micro_core.json differs between same-seed runs" \
+            "(beyond the wall-clock columns)" >&2; exit 1; }
+echo "determinism OK: JSON byte-identical modulo the wall-clock rates"
 diff "${DET_A}/stdout.txt" "${DET_B}/stdout.txt" \
   || { echo "metric dump differs between same-seed runs" >&2; exit 1; }
 

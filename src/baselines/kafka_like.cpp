@@ -18,9 +18,10 @@ KafkaCluster::KafkaCluster(sim::Core& exec, sim::Network& net, sim::HostId first
         broker.host = firstBrokerHost + b;
         broker.cpu = std::make_unique<sim::CpuModel>(exec_, cfg_.cpu);
         broker.disk = std::make_unique<sim::DiskModel>(exec_, cfg_.disk);
+        broker.pageFlush = std::make_unique<sim::Timer>(exec_, [this, b]() { flushPages(b); });
+        broker.pageFlush->every(cfg_.pageFlushInterval);
         brokers_.push_back(std::move(broker));
     }
-    for (int b = 0; b < cfg_.brokers; ++b) pageFlushTick(b);
 }
 
 void KafkaCluster::createTopic(const std::string& name, int partitions) {
@@ -89,7 +90,8 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
     };
 
     auto state = std::make_shared<int>(0);  // replicas durable
-    auto maybeFinish = [this, state, done, topic, partition, bytes, events, producedAt]() {
+    auto maybeFinish = life_.guard([this, state, done, topic, partition, bytes, events,
+                                    producedAt]() {
         if (*state != cfg_.minInsyncReplicas) return;
         ++*state;  // fire once
         Partition* part2 = find(topic, partition);
@@ -109,17 +111,15 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
         part2->waiters.clear();
         for (auto& w : waiters) w();
         done(Status::ok());
-    };
+    });
 
     // Leader handles the request (CPU + the partition's single-threaded
     // append pipeline), writes locally, and replicates to followers in
     // parallel; ack when min.insync.replicas are durable.
     sim::Duration pipeWork =
         cfg_.partitionPerRequest + sim::transferTime(bytes, cfg_.partitionBytesPerSec);
-    leader.cpu->execute(bytes)
-        .thenAsync([part, pipeWork](const sim::Unit&) { return part->appendPipe->acquire(pipeWork); })
-        .onComplete([this, topic, partition, writeAt, state, maybeFinish,
-                     part](const Result<sim::Unit>&) {
+    auto replicate = life_.guard([this, topic, partition, writeAt, state, maybeFinish,
+                                  part](const Result<sim::Unit>&) {
         writeAt(part->leader, topic, partition)
             .onComplete([state, maybeFinish](const Result<sim::Unit>&) {
                 ++*state;
@@ -130,42 +130,41 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
             Broker& followerB = brokers_[static_cast<size_t>(follower)];
             uint64_t bytes2 = cfg_.wireOverheadBytes;
             net_.send(leaderB.host, followerB.host, bytes2,
-                      [this, follower, topic, partition, writeAt, state, maybeFinish,
-                       &leaderB, &followerB]() {
+                      life_.guard([this, follower, topic, partition, writeAt, state,
+                                   maybeFinish, &leaderB, &followerB]() {
                           writeAt(follower, topic, partition)
-                              .onComplete([this, state, maybeFinish, &leaderB,
-                                           &followerB](const Result<sim::Unit>&) {
+                              .onComplete(life_.guard([this, state, maybeFinish, &leaderB,
+                                                       &followerB](const Result<sim::Unit>&) {
                                   net_.send(followerB.host, leaderB.host,
                                             cfg_.wireOverheadBytes, [state, maybeFinish]() {
                                                 ++*state;
                                                 maybeFinish();
                                             });
-                              });
-                      });
+                              }));
+                      }));
         }
     });
+    leader.cpu->execute(bytes).onComplete(
+        life_.guard([part, pipeWork, replicate](const Result<sim::Unit>&) {
+            part->appendPipe->acquire(pipeWork).onComplete(replicate);
+        }));
 }
 
-void KafkaCluster::pageFlushTick(int brokerId) {
-    exec_.scheduleWeak(cfg_.pageFlushInterval, [this, brokerId]() {
-        Broker& broker = brokers_[static_cast<size_t>(brokerId)];
-        if (!cfg_.flushEveryMessage) {
-            // The OS writes each partition's dirty pages as a separate
-            // (large) write to that partition's file — this is where the
-            // one-file-per-partition design pays at high partition counts.
-            for (auto& [name, topic] : topics_) {
-                for (size_t p = 0; p < topic.partitions.size(); ++p) {
-                    Partition& part = topic.partitions[p];
-                    auto it = part.dirtyByBroker.find(brokerId);
-                    if (it == part.dirtyByBroker.end() || it->second == 0) continue;
-                    broker.disk->write(partitionFileId(name, static_cast<int>(p)), it->second,
-                                       false);
-                    it->second = 0;
-                }
-            }
+void KafkaCluster::flushPages(int brokerId) {
+    if (cfg_.flushEveryMessage) return;
+    // The OS writes each partition's dirty pages as a separate (large)
+    // write to that partition's file — this is where the one-file-per-
+    // partition design pays at high partition counts.
+    Broker& broker = brokers_[static_cast<size_t>(brokerId)];
+    for (auto& [name, topic] : topics_) {
+        for (size_t p = 0; p < topic.partitions.size(); ++p) {
+            Partition& part = topic.partitions[p];
+            auto it = part.dirtyByBroker.find(brokerId);
+            if (it == part.dirtyByBroker.end() || it->second == 0) continue;
+            broker.disk->write(partitionFileId(name, static_cast<int>(p)), it->second, false);
+            it->second = 0;
         }
-        pageFlushTick(brokerId);
-    });
+    }
 }
 
 // ------------------------------------------------------------- producer
@@ -204,7 +203,9 @@ void KafkaProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck ac
     if (batch.events == 0) {
         batch.partition = partition;
         batch.openedAt = cluster_.exec_.now();
-        armLinger(partition);
+        auto linger = linger_.try_emplace(partition, cluster_.exec_,
+                                          [this, partition]() { closeBatch(partition); });
+        linger.first->second.arm(cluster_.cfg_.lingerTime);
     }
     batch.bytes += sizeBytes;
     ++batch.events;
@@ -214,18 +215,10 @@ void KafkaProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck ac
     if (batch.bytes >= cluster_.cfg_.batchBytes) closeBatch(partition);
 }
 
-void KafkaProducer::armLinger(int partition) {
-    auto fire = [this, partition]() {
-        auto bit = open_.find(partition);
-        if (bit != open_.end() && bit->second.events > 0) closeBatch(partition);
-    };
-    cluster_.exec_.schedule(cluster_.cfg_.lingerTime, linger_[partition].guard(fire));
-}
-
 void KafkaProducer::closeBatch(int partition) {
     auto it = open_.find(partition);
     if (it == open_.end() || it->second.events == 0) return;
-    linger_[partition].reset();
+    linger_.at(partition).cancel();
     Batch batch = std::move(it->second);
     open_.erase(it);
     int leader = cluster_.topics_.at(topic_).partitions[static_cast<size_t>(partition)].leader;
@@ -335,10 +328,11 @@ void KafkaConsumer::fetchLoop() {
         }
         fetchLoop();
     });
-    broker.cpu->execute(bytes).onComplete([deliver, bytes, brokerHost, &cluster = cluster_,
-                                           host = clientHost_](const Result<sim::Unit>&) {
-        cluster.net_.send(brokerHost, host, bytes + cluster.cfg_.wireOverheadBytes, deliver);
-    });
+    broker.cpu->execute(bytes).onComplete(
+        cluster_.life_.guard([deliver, bytes, brokerHost, &cluster = cluster_,
+                              host = clientHost_](const Result<sim::Unit>&) {
+            cluster.net_.send(brokerHost, host, bytes + cluster.cfg_.wireOverheadBytes, deliver);
+        }));
 }
 
 std::unique_ptr<KafkaProducer> KafkaCluster::makeProducer(sim::HostId clientHost,

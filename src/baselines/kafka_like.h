@@ -29,6 +29,7 @@
 #include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
+#include "sim/timer.h"
 
 namespace pravega::baselines {
 
@@ -93,7 +94,6 @@ private:
 
     void closeBatch(int partition);
     void trySend(int brokerId);
-    void armLinger(int partition);
 
     KafkaCluster& cluster_;
     sim::HostId clientHost_;
@@ -101,7 +101,7 @@ private:
     std::map<int, Batch> open_;                 // partition → open batch
     std::map<int, std::deque<Batch>> queued_;   // broker → ready batches
     std::map<int, int> inFlight_;               // broker → outstanding requests
-    std::map<int, sim::Lifetime> linger_;  // reset when the batch closes
+    std::map<int, sim::Timer> linger_;          // partition → linger.ms
     uint64_t pendingBytes_ = 0;
     int stickyPartition_ = 0;
     uint64_t stickyBytes_ = 0;
@@ -174,6 +174,7 @@ private:
         sim::HostId host;
         std::unique_ptr<sim::CpuModel> cpu;
         std::unique_ptr<sim::DiskModel> disk;
+        std::unique_ptr<sim::Timer> pageFlush;  // the OS page-cache flusher
     };
     struct Topic {
         std::vector<Partition> partitions;
@@ -183,7 +184,7 @@ private:
     /// replication/durability requirements are satisfied.
     void produce(const std::string& topic, int partition, uint64_t bytes, uint32_t events,
                  sim::TimePoint producedAt, std::function<void(Status)> done);
-    void pageFlushTick(int brokerId);
+    void flushPages(int brokerId);
     uint64_t partitionFileId(const std::string& topic, int partition) const;
     Partition* find(const std::string& topic, int partition);
 
@@ -193,6 +194,7 @@ private:
     std::vector<Broker> brokers_;
     std::map<std::string, Topic> topics_;
     uint64_t bytesProduced_ = 0;
+    sim::Lifetime life_;  // produce pipelines and fetch responses
 };
 
 }  // namespace pravega::baselines

@@ -28,9 +28,11 @@ PulsarCluster::PulsarCluster(sim::Core& exec, sim::Network& net,
         broker.host = firstBrokerHost + b;
         broker.cpu = std::make_unique<sim::CpuModel>(exec_, cfg_.cpu);
         broker.dispatcher = std::make_unique<sim::QueuedResource>(exec_, 1);
+        broker.dispatchTimer =
+            std::make_unique<sim::Timer>(exec_, [this, b]() { wakeConsumers(b); });
+        broker.dispatchTimer->every(cfg_.dispatchInterval);
         brokers_.push_back(std::move(broker));
     }
-    for (int b = 0; b < cfg_.brokers; ++b) dispatchTick(b);
 }
 
 void PulsarCluster::createTopic(const std::string& name, int partitions) {
@@ -105,15 +107,11 @@ void PulsarCluster::produce(const std::string& topic, int partition, uint64_t by
     }
     sim::Duration pipeWork =
         cfg_.partitionPerRequest + sim::transferTime(bytes, cfg_.partitionBytesPerSec);
-    broker.cpu->execute(bytes)
-        .thenAsync([part, pipeWork](const sim::Unit&) { return part->appendPipe->acquire(pipeWork); })
-        .onComplete([this, topic, partition, bytes, events, withKeys,
-                     producedAt, done, part](const Result<sim::Unit>&) {
-        exec_.schedule(cfg_.brokerPipelineLatency, [this, topic, partition, bytes, events,
-                                                    withKeys, producedAt, done, part]() {
+    auto append = life_.guard([this, topic, partition, bytes, events, withKeys, producedAt,
+                               done, part]() {
         part->ledger->addEntry(zeros_.slice(0, bytes))
-            .onComplete([this, topic, partition, bytes, events, withKeys, producedAt, done,
-                         part](const Result<wal::EntryId>& r) {
+            .onComplete(life_.guard([this, topic, partition, bytes, events, withKeys,
+                                     producedAt, done, part](const Result<wal::EntryId>& r) {
                 checkMemory(part->broker);
                 if (!r.isOk()) {
                     done(r.status());
@@ -129,9 +127,15 @@ void PulsarCluster::produce(const std::string& topic, int partition, uint64_t by
                 // Consumers are NOT woken here: delivery waits for the
                 // dispatcher tick, which sets Pulsar's e2e latency floor.
                 done(Status::ok());
-            });
-        });
+            }));
     });
+    broker.cpu->execute(bytes).onComplete(
+        life_.guard([this, part, pipeWork, append](const Result<sim::Unit>&) {
+            part->appendPipe->acquire(pipeWork).onComplete(
+                life_.guard([this, append](const Result<sim::Unit>&) {
+                    exec_.schedule(cfg_.brokerPipelineLatency, append);
+                }));
+        }));
 }
 
 void PulsarCluster::maybeOffload(const std::string& topic, int partition) {
@@ -143,34 +147,28 @@ void PulsarCluster::maybeOffload(const std::string& topic, int partition) {
     // The offloader runs OUTSIDE the write path: no producer throttling;
     // if the object store is slower than ingest the backlog just grows
     // (the §5.7 imbalance).
-    offloadStore_->put(chunk).onComplete([this, topic, partition, chunk](
-                                             const Result<sim::Unit>&) {
-        Partition* p = find(topic, partition);
-        if (!p) return;
-        p->offloadedUpTo += static_cast<int64_t>(chunk);
-        offloadedBytes_ += chunk;
-    });
+    offloadStore_->put(chunk).onComplete(
+        life_.guard([this, topic, partition, chunk](const Result<sim::Unit>&) {
+            Partition* p = find(topic, partition);
+            if (!p) return;
+            p->offloadedUpTo += static_cast<int64_t>(chunk);
+            offloadedBytes_ += chunk;
+        }));
 }
 
-void PulsarCluster::dispatchTick(int brokerId) {
-    exec_.scheduleWeak(cfg_.dispatchInterval, [this, brokerId]() {
-        Broker& broker = brokers_[static_cast<size_t>(brokerId)];
-        if (!broker.crashed) {
-            for (auto& [name, topic] : topics_) {
-                for (auto& part : topic.partitions) {
-                    if (part.broker != brokerId || !part.hasConsumer) continue;
-                    if (part.records.empty() ||
-                        part.records.back().endOffset <= part.consumerOffset) {
-                        continue;
-                    }
-                    auto waiters = std::move(part.waiters);
-                    part.waiters.clear();
-                    for (auto& w : waiters) w();
-                }
+void PulsarCluster::wakeConsumers(int brokerId) {
+    if (brokers_[static_cast<size_t>(brokerId)].crashed) return;
+    for (auto& [name, topic] : topics_) {
+        for (auto& part : topic.partitions) {
+            if (part.broker != brokerId || !part.hasConsumer) continue;
+            if (part.records.empty() || part.records.back().endOffset <= part.consumerOffset) {
+                continue;
             }
+            auto waiters = std::move(part.waiters);
+            part.waiters.clear();
+            for (auto& w : waiters) w();
         }
-        dispatchTick(brokerId);
-    });
+    }
 }
 
 // -------------------------------------------------------------- producer
@@ -196,7 +194,11 @@ void PulsarProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck2 
     if (batch.events == 0) {
         batch.partition = partition;
         batch.openedAt = cluster_.exec_.now();
-        if (cluster_.cfg_.batchingEnabled) armTimer(partition);
+        if (cluster_.cfg_.batchingEnabled) {
+            auto timer = timers_.try_emplace(partition, cluster_.exec_,
+                                             [this, partition]() { closeBatch(partition); });
+            timer.first->second.arm(cluster_.cfg_.batchTime);
+        }
     }
     batch.bytes += sizeBytes;
     ++batch.events;
@@ -212,18 +214,10 @@ void PulsarProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck2 
     }
 }
 
-void PulsarProducer::armTimer(int partition) {
-    auto fire = [this, partition]() {
-        auto bit = open_.find(partition);
-        if (bit != open_.end() && bit->second.events > 0) closeBatch(partition);
-    };
-    cluster_.exec_.schedule(cluster_.cfg_.batchTime, timers_[partition].guard(fire));
-}
-
 void PulsarProducer::closeBatch(int partition) {
     auto it = open_.find(partition);
     if (it == open_.end() || it->second.events == 0) return;
-    timers_[partition].reset();
+    if (auto timer = timers_.find(partition); timer != timers_.end()) timer->second.cancel();
     queued_[partition].push_back(std::move(it->second));
     open_.erase(it);
     trySend(partition);
@@ -317,11 +311,12 @@ void PulsarConsumer::catchUpLoop() {
                 catchUpLoop();
             });
             auto& b = cluster_.brokers_[static_cast<size_t>(part->broker)];
-            b.cpu->execute(block).onComplete([deliver, block, brokerHost, &cluster = cluster_,
-                                              host = clientHost_](const Result<sim::Unit>&) {
-                cluster.net_.send(brokerHost, host, block + cluster.cfg_.wireOverheadBytes,
-                                  deliver);
-            });
+            b.cpu->execute(block).onComplete(
+                cluster_.life_.guard([deliver, block, brokerHost, &cluster = cluster_,
+                                      host = clientHost_](const Result<sim::Unit>&) {
+                    cluster.net_.send(brokerHost, host,
+                                      block + cluster.cfg_.wireOverheadBytes, deliver);
+                }));
         }));
         return;
     }
@@ -372,11 +367,11 @@ void PulsarConsumer::catchUpLoop() {
         });
         broker.dispatcher
             ->acquire(cluster_.cfg_.dispatchCost + sim::transferTime(bytes, 4.0e9))
-            .onComplete([deliver, bytes, brokerHost, &cluster = cluster_,
-                         host = clientHost_](const Result<sim::Unit>&) {
+            .onComplete(cluster_.life_.guard([deliver, bytes, brokerHost, &cluster = cluster_,
+                                              host = clientHost_](const Result<sim::Unit>&) {
                 cluster.net_.send(brokerHost, host, bytes + cluster.cfg_.wireOverheadBytes,
                                   deliver);
-            });
+            }));
         return;
     }
 

@@ -29,6 +29,7 @@
 #include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
+#include "sim/timer.h"
 #include "wal/ledger_handle.h"
 #include "wal/log_client.h"
 
@@ -106,7 +107,6 @@ private:
 
     void closeBatch(int partition);
     void trySend(int partition);
-    void armTimer(int partition);
 
     PulsarCluster& cluster_;
     sim::HostId clientHost_;
@@ -114,7 +114,7 @@ private:
     std::map<int, Batch> open_;
     std::map<int, std::deque<Batch>> queued_;    // partition → ready batches
     std::map<int, uint64_t> outstanding_;        // partition → in-flight bytes
-    std::map<int, sim::Lifetime> timers_;  // reset when the batch closes
+    std::map<int, sim::Timer> timers_;           // partition → batch time
     int rrPartition_ = 0;
     uint64_t rngState_;
     sim::Lifetime life_;  // request round trips
@@ -192,6 +192,7 @@ private:
         sim::HostId host;
         std::unique_ptr<sim::CpuModel> cpu;
         std::unique_ptr<sim::QueuedResource> dispatcher;  // single-threaded
+        std::unique_ptr<sim::Timer> dispatchTimer;
         bool crashed = false;
     };
     struct Topic {
@@ -200,7 +201,7 @@ private:
 
     void produce(const std::string& topic, int partition, uint64_t bytes, uint32_t events,
                  bool withKeys, sim::TimePoint producedAt, std::function<void(Status)> done);
-    void dispatchTick(int brokerId);
+    void wakeConsumers(int brokerId);
     void checkMemory(int brokerId);
     void maybeOffload(const std::string& topic, int partition);
     Partition* find(const std::string& topic, int partition);
@@ -218,6 +219,7 @@ private:
     uint64_t bytesProduced_ = 0;
     uint64_t offloadedBytes_ = 0;
     uint64_t nextLog_ = 0x50AA0000;
+    sim::Lifetime life_;  // produce pipelines, offloads and dispatch deliveries
 };
 
 }  // namespace pravega::baselines

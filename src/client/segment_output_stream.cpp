@@ -31,7 +31,10 @@ SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
       mEvents_(exec.metrics().counter("client.writer.events")),
       mBlockBytes_(exec.metrics().histogram("client.writer.block_bytes")),
       mBatchWaitNs_(exec.metrics().histogram("trace.write.0_client_batch_wait_ns")),
-      mRttNs_(exec.metrics().histogram("client.writer.rtt_ns")) {
+      mRttNs_(exec.metrics().histogram("client.writer.rtt_ns")),
+      closeTimer_(exec, [this]() {
+          if (!open_.events.empty()) closeBlock();
+      }) {
     connect();
 }
 
@@ -97,20 +100,15 @@ void SegmentOutputStream::maybeCloseBlock() {
         closeBlock();
         return;
     }
-    if (!closeTimerArmed_) {
-        closeTimerArmed_ = true;
+    if (!closeTimer_.armed()) {
         sim::Duration wait = std::min<sim::Duration>(
             kMaxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
-        exec_.schedule(std::max<sim::Duration>(wait, 1), closeTimer_.guard([this]() {
-            closeTimerArmed_ = false;
-            if (!open_.events.empty()) closeBlock();
-        }));
+        closeTimer_.arm(std::max<sim::Duration>(wait, 1));
     }
 }
 
 void SegmentOutputStream::closeBlock() {
-    closeTimerArmed_ = false;
-    closeTimer_.reset();
+    closeTimer_.cancel();
     if (open_.events.empty()) return;
     // Event numbers are NOT assigned here: the SetupAppend handshake may
     // still be in flight, and numbering must start after the server's last
@@ -247,8 +245,7 @@ void SegmentOutputStream::handleSealed(Block first) {
     harvest(open_);
     open_ = Block{};
     outstandingBytes_ = 0;
-    closeTimer_.reset();
-    closeTimerArmed_ = false;
+    closeTimer_.cancel();
     PLOG_DEBUG(kLog, "segment %llu sealed; re-routing %zu events",
                static_cast<unsigned long long>(segment_), events.size());
     if (onSealed_) onSealed_(segment_, std::move(events));

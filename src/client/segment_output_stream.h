@@ -28,6 +28,7 @@
 #include "segmentstore/types.h"
 #include "sim/lifetime.h"
 #include "sim/network.h"
+#include "sim/timer.h"
 
 namespace pravega::client {
 
@@ -112,7 +113,6 @@ private:
     SealedHandler onSealed_;
 
     Block open_;
-    bool closeTimerArmed_ = false;
 
     std::deque<Block> sendQueue_;   // closed blocks waiting for window
     std::deque<Block> inFlight_;    // sent, not yet acked
@@ -136,7 +136,7 @@ private:
     obs::LatencyHistogram& mRttNs_;
 
     sim::Lifetime life_;
-    sim::Lifetime closeTimer_;
+    sim::Timer closeTimer_;
     sim::Lifetime connection_;  // reset when the connection drops
 };
 

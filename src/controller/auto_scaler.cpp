@@ -13,26 +13,19 @@ constexpr const char* kLog = "auto-scaler";
 
 AutoScaler::AutoScaler(sim::Core& exec, Controller& controller,
                        std::vector<segmentstore::SegmentStore*> stores, Config cfg)
-    : exec_(exec), controller_(controller), stores_(std::move(stores)), cfg_(cfg) {}
+    : exec_(exec),
+      controller_(controller),
+      stores_(std::move(stores)),
+      cfg_(cfg),
+      timer_(exec, [this]() { tick(); }) {}
 
 void AutoScaler::start() {
-    if (running_) return;
-    running_ = true;
+    if (timer_.armed()) return;
     lastTick_ = exec_.now();
-    armTimer();
+    timer_.every(cfg_.pollInterval);
 }
 
-void AutoScaler::armTimer() {
-    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
-        tick();
-        armTimer();
-    }));
-}
-
-void AutoScaler::stop() {
-    running_ = false;
-    timer_.reset();
-}
+void AutoScaler::stop() { timer_.cancel(); }
 
 void AutoScaler::tick() {
     double windowSec = sim::toSeconds(exec_.now() - lastTick_);

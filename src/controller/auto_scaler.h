@@ -13,8 +13,8 @@
 
 #include "controller/controller.h"
 #include "segmentstore/segment_store.h"
-#include "sim/lifetime.h"
 #include "sim/machine.h"
+#include "sim/timer.h"
 
 namespace pravega::controller {
 
@@ -55,7 +55,6 @@ public:
     uint64_t mergesIssued() const { return merges_; }
 
 private:
-    void armTimer();
     void tick();
     void evaluateStream(const std::string& name, const StreamRecord& rec,
                         const std::map<SegmentId, segmentstore::SegmentRate>& rates,
@@ -71,10 +70,9 @@ private:
     std::map<std::string, sim::TimePoint> lastScale_;
     std::map<SegmentId, double> lastRates_;
     sim::TimePoint lastTick_ = 0;
-    bool running_ = false;
     uint64_t splits_ = 0;
     uint64_t merges_ = 0;
-    sim::Lifetime timer_;  // poll timer; reset by stop()
+    sim::Timer timer_;  // poll; cancelled by stop()
 };
 
 }  // namespace pravega::controller

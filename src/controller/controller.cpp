@@ -12,8 +12,11 @@ constexpr const char* kStreamKeyPrefix = "streams/";
 }  // namespace
 
 Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg)
-    : exec_(exec), registry_(registry), cfg_(cfg) {
-    retentionTick();
+    : exec_(exec),
+      registry_(registry),
+      cfg_(cfg),
+      retention_(exec, [this]() { sweepRetention(); }) {
+    retention_.every(cfg_.retentionInterval);
 }
 
 segmentstore::SegmentContainer* Controller::containerOf(SegmentId segment) const {
@@ -267,15 +270,10 @@ void Controller::persist(const std::string& scopedName) {
 
 // ---- retention ---------------------------------------------------------
 
-void Controller::retentionTick() {
-    exec_.scheduleWeak(cfg_.retentionInterval, life_.guard([this]() {
-        for (auto& [name, rec] : streams_) {
-            if (rec.config().retention.type == RetentionType::Size) {
-                enforceRetention(name, rec);
-            }
-        }
-        retentionTick();
-    }));
+void Controller::sweepRetention() {
+    for (auto& [name, rec] : streams_) {
+        if (rec.config().retention.type == RetentionType::Size) enforceRetention(name, rec);
+    }
 }
 
 void Controller::enforceRetention(const std::string& scopedName, StreamRecord& rec) {

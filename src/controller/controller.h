@@ -18,6 +18,7 @@
 #include "sim/machine.h"
 #include "sim/future.h"
 #include "sim/lifetime.h"
+#include "sim/timer.h"
 
 namespace pravega::controller {
 
@@ -96,7 +97,7 @@ private:
     sim::Future<sim::Unit> createSegmentObjects(const std::string& scopedName,
                                                 const std::vector<SegmentRecord>& records);
     void persist(const std::string& scopedName);
-    void retentionTick();
+    void sweepRetention();
     void enforceRetention(const std::string& scopedName, StreamRecord& rec);
 
     sim::Core& exec_;
@@ -109,8 +110,9 @@ private:
     std::map<SegmentId, SegmentRecord> internalSegments_;
     std::map<std::string, bool> scaling_;
     uint32_t nextSegmentNumber_ = 1;
-    /// Scale continuations and the retention timer. Declared last: container
-    /// shutdown cascades can fire completions during teardown.
+    sim::Timer retention_;  // size-based retention sweep
+    /// Scale continuations. Declared last: container shutdown cascades can
+    /// fire completions during teardown.
     sim::Lifetime life_;
 };
 

@@ -19,30 +19,20 @@ TenantQuotaManager::TenantQuotaManager(sim::Core& exec, Controller& controller,
       controller_(controller),
       stores_(std::move(stores)),
       cfg_(cfg),
-      throttleCounter_(exec.metrics().counter("ctrl.quota.throttles")) {}
+      throttleCounter_(exec.metrics().counter("ctrl.quota.throttles")),
+      timer_(exec, [this]() { tick(); }) {}
 
 void TenantQuotaManager::setQuota(const std::string& tenant, double bytesPerSec) {
     tenants_[tenant].quotaBytesPerSec = bytesPerSec;
 }
 
 void TenantQuotaManager::start() {
-    if (running_) return;
-    running_ = true;
+    if (timer_.armed()) return;
     lastTick_ = exec_.now();
-    armTimer();
+    timer_.every(cfg_.pollInterval);
 }
 
-void TenantQuotaManager::stop() {
-    running_ = false;
-    timer_.reset();
-}
-
-void TenantQuotaManager::armTimer() {
-    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
-        tick();
-        armTimer();
-    }));
-}
+void TenantQuotaManager::stop() { timer_.cancel(); }
 
 double TenantQuotaManager::allowance(const std::string& tenant) const {
     auto it = tenants_.find(tenant);

@@ -17,8 +17,8 @@
 
 #include "controller/controller.h"
 #include "segmentstore/segment_store.h"
-#include "sim/lifetime.h"
 #include "sim/machine.h"
+#include "sim/timer.h"
 
 namespace pravega::obs {
 class Counter;
@@ -71,7 +71,6 @@ private:
         double rate = 0.0;
     };
 
-    void armTimer();
     void tick();
     /// Tenant (scope) owning `segment`, cached; empty for internal segments.
     const std::string& tenantOf(SegmentId segment);
@@ -86,10 +85,9 @@ private:
     std::map<SegmentId, uint64_t> prevBytes_;
     sim::TimePoint lastTick_ = 0;
     uint64_t throttleTicks_ = 0;
-    bool running_ = false;
 
     obs::Counter& throttleCounter_;
-    sim::Lifetime timer_;  // poll timer; reset by stop()
+    sim::Timer timer_;  // poll; cancelled by stop()
 };
 
 }  // namespace pravega::controller

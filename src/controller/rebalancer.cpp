@@ -19,26 +19,16 @@ Rebalancer::Rebalancer(sim::Core& exec, cluster::ContainerRegistry& registry,
       cfg_(cfg),
       movesCounter_(exec.metrics().counter("ctrl.rebalance.moves")),
       ticksCounter_(exec.metrics().counter("ctrl.rebalance.ticks")),
-      ratioGauge_(exec.metrics().gauge("ctrl.rebalance.load_ratio")) {}
+      ratioGauge_(exec.metrics().gauge("ctrl.rebalance.load_ratio")),
+      timer_(exec, [this]() { tick(); }) {}
 
 void Rebalancer::start() {
-    if (running_) return;
-    running_ = true;
+    if (timer_.armed()) return;
     lastTick_ = exec_.now();
-    armTimer();
+    timer_.every(cfg_.pollInterval);
 }
 
-void Rebalancer::stop() {
-    running_ = false;
-    timer_.reset();
-}
-
-void Rebalancer::armTimer() {
-    exec_.scheduleWeak(cfg_.pollInterval, timer_.guard([this]() {
-        tick();
-        armTimer();
-    }));
-}
+void Rebalancer::stop() { timer_.cancel(); }
 
 void Rebalancer::tick() {
     double windowSec = sim::toSeconds(exec_.now() - lastTick_);

@@ -19,8 +19,8 @@
 
 #include "cluster/coordination.h"
 #include "segmentstore/segment_store.h"
-#include "sim/lifetime.h"
 #include "sim/machine.h"
+#include "sim/timer.h"
 
 namespace pravega::obs {
 class Counter;
@@ -69,7 +69,6 @@ public:
     const std::vector<double>& lastStoreLoads() const { return lastLoads_; }
 
 private:
-    void armTimer();
     void tick();
 
     sim::Core& exec_;
@@ -83,12 +82,11 @@ private:
     double lastRatio_ = 0.0;
     uint64_t ticks_ = 0;
     uint64_t moves_ = 0;
-    bool running_ = false;
 
     obs::Counter& movesCounter_;
     obs::Counter& ticksCounter_;
     obs::Gauge& ratioGauge_;
-    sim::Lifetime timer_;  // poll timer; reset by stop()
+    sim::Timer timer_;  // poll; cancelled by stop()
 };
 
 }  // namespace pravega::controller

@@ -3,42 +3,17 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.h"
+
 namespace pravega::detect {
-
-namespace {
-
-std::string fmtDouble(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 Monitor::Monitor(sim::Core& exec, Config cfg)
     : exec_(exec),
       cfg_(cfg),
       mTicks_(exec.metrics().counter("detect.ticks")),
       mAlarms_(exec.metrics().counter("detect.alarms")),
-      mSkipped_(exec.metrics().counter("detect.samples.skipped")) {}
+      mSkipped_(exec.metrics().counter("detect.samples.skipped")),
+      timer_(exec, [this]() { tick(); }) {}
 
 void Monitor::addProbe(ProbeConfig probe) {
     auto ps = std::make_unique<ProbeState>();
@@ -150,17 +125,14 @@ void Monitor::addDefaultWritePathProbes() {
 }
 
 void Monitor::start() {
-    if (running_) return;
-    running_ = true;
+    if (timer_.armed()) return;
     lastTick_ = exec_.now();
-    if (armed_) return;
-    armed_ = true;
-    exec_.scheduleWeak(cfg_.period, life_.guard([this]() { tick(); }));
+    timer_.every(cfg_.period);
 }
 
 void Monitor::stop() {
-    if (!running_) return;
-    running_ = false;
+    if (!timer_.armed()) return;
+    timer_.cancel();
     // Close the books: still-active excursions get the stop time as their
     // clear time so the alarm log has no dangling intervals.
     sim::TimePoint now = exec_.now();
@@ -172,10 +144,6 @@ void Monitor::stop() {
 }
 
 void Monitor::tick() {
-    if (!running_) {
-        armed_ = false;
-        return;
-    }
     sim::TimePoint now = exec_.now();
     for (auto& ps : probes_) {
         std::optional<double> x = sample(*ps);
@@ -196,7 +164,6 @@ void Monitor::tick() {
     ++ticks_;
     mTicks_.inc();
     lastTick_ = now;
-    exec_.scheduleWeak(cfg_.period, life_.guard([this]() { tick(); }));
 }
 
 std::optional<double> Monitor::sample(ProbeState& ps) {

@@ -26,8 +26,8 @@
 #include "detect/detectors.h"
 #include "detect/slo.h"
 #include "obs/metrics.h"
-#include "sim/lifetime.h"
 #include "sim/machine.h"
+#include "sim/timer.h"
 
 namespace pravega::detect {
 
@@ -82,7 +82,7 @@ public:
     /// idempotent. Call before draining a bench world so the end-of-run
     /// traffic ramp-down is not scored as a rate collapse.
     void stop();
-    bool running() const { return running_; }
+    bool running() const { return timer_.armed(); }
 
     const std::vector<Alarm>& alarms() const { return alarms_; }
     /// Alarms excluding guardrail (Slo) fires — the detector-only view.
@@ -131,8 +131,6 @@ private:
     std::vector<std::unique_ptr<ProbeState>> probes_;
     std::vector<std::unique_ptr<RailState>> rails_;
     std::vector<Alarm> alarms_;
-    bool running_ = false;
-    bool armed_ = false;  // a timer chain is in flight
     sim::TimePoint lastTick_ = 0;
     uint64_t ticks_ = 0;
 
@@ -140,7 +138,7 @@ private:
     obs::Counter& mAlarms_;
     obs::Counter& mSkipped_;
 
-    sim::Lifetime life_;
+    sim::Timer timer_;
 };
 
 }  // namespace pravega::detect

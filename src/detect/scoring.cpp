@@ -1,21 +1,11 @@
 #include "detect/scoring.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.h"
 #include "detect/monitor.h"
 
 namespace pravega::detect {
-
-namespace {
-
-std::string fmtDouble(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-}  // namespace
 
 double ScoreReport::classRecall(const std::string& klass) const {
     for (const ClassScore& c : perClass) {

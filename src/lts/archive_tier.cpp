@@ -22,8 +22,9 @@ ArchiveTierChunkStorage::ArchiveTierChunkStorage(sim::Core& exec, ChunkStorage& 
       mReads_(exec.metrics().counter("lts.archive.reads")),
       mReadBytes_(exec.metrics().counter("lts.archive.read_bytes")),
       mArchivedBytes_(exec.metrics().gauge("lts.archive.bytes")),
-      mPrimaryBytes_(exec.metrics().gauge("lts.archive.primary_bytes")) {
-    scheduleScan();
+      mPrimaryBytes_(exec.metrics().gauge("lts.archive.primary_bytes")),
+      scan_(exec, [this]() { scanNow(); }) {
+    if (cfg_.scanInterval > 0) scan_.every(cfg_.scanInterval);
 }
 
 uint64_t ArchiveTierChunkStorage::cartridgeFor(const std::string& name) const {
@@ -33,15 +34,6 @@ uint64_t ArchiveTierChunkStorage::cartridgeFor(const std::string& name) const {
     return fnv1a64(std::string_view(name).substr(0, dash == std::string::npos
                                                         ? name.size()
                                                         : dash));
-}
-
-void ArchiveTierChunkStorage::scheduleScan() {
-    if (cfg_.scanInterval <= 0) return;
-    // Weak timer: the scan must not keep runUntilIdle() from terminating.
-    exec_.scheduleWeak(cfg_.scanInterval, life_.guard([this] {
-        scanNow();
-        scheduleScan();
-    }));
 }
 
 Future<Unit> ArchiveTierChunkStorage::create(const std::string& name) {

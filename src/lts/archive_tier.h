@@ -37,9 +37,9 @@
 
 #include "lts/chunk_storage.h"
 #include "obs/metrics.h"
-#include "sim/lifetime.h"
 #include "sim/machine.h"
 #include "sim/models.h"
+#include "sim/timer.h"
 
 namespace pravega::lts {
 
@@ -105,7 +105,6 @@ private:
 
     uint64_t cartridgeFor(const std::string& name) const;
     void migrate(const std::string& name);
-    void scheduleScan();
 
     sim::Core& exec_;
     ChunkStorage& primary_;
@@ -125,7 +124,7 @@ private:
     obs::Gauge& mArchivedBytes_;
     obs::Gauge& mPrimaryBytes_;
 
-    sim::Lifetime life_;
+    sim::Timer scan_;  // migration scan
 };
 
 }  // namespace pravega::lts

@@ -3,38 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace pravega::obs {
-namespace {
-
-// Fixed-format double rendering shared by dump() and toJson(). %.6g is
-// locale-independent here (no locale is ever set in this codebase) and
-// deterministic for equal inputs, which is all the byte-identical contract
-// needs.
-std::string fmtDouble(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 RateMeter::RateMeter(NowFn now, sim::Duration window, size_t buckets)
     : now_(std::move(now)),

@@ -47,7 +47,11 @@ SegmentContainer::SegmentContainer(sim::Core& exec, uint32_t containerId, wal::W
       mStoreQueueNs_(exec.metrics().histogram("trace.write.1_store_queue_ns")),
       mWalCommitNs_(exec.metrics().histogram("trace.write.2_wal_commit_ns")),
       mDemandFetchNs_(exec.metrics().histogram("trace.read.1_lts_fetch_ns")),
-      mPrefetchFetchNs_(exec.metrics().histogram("trace.read.2_prefetch_fetch_ns")) {
+      mPrefetchFetchNs_(exec.metrics().histogram("trace.read.2_prefetch_fetch_ns")),
+      frameTimer_(exec, [this]() {
+          if (!offline_ && !openFrame_.ops.empty()) closeFrame();
+      }),
+      cacheTimer_(exec, [this]() { readIndex_.applyCachePolicy(); }) {
     readIndex_.setEvictionCounter(&mCacheEvictions_);
     storageWriter_ = std::make_unique<StorageWriter>(exec, *this, lts, cfg.storage);
 }
@@ -98,7 +102,7 @@ Status SegmentContainer::start() {
     }
 
     storageWriter_->start();
-    startCachePolicyTimer();
+    cacheTimer_.every(cfg_.cachePolicyInterval);
     PLOG_INFO(kLog, "container %u online, %zu segments recovered", containerId_,
               segments_.size());
     return Status::ok();
@@ -108,7 +112,7 @@ void SegmentContainer::shutdown() {
     if (offline_) return;
     offline_ = true;
     storageWriter_->stop();
-    cacheTimer_.reset();
+    cacheTimer_.cancel();
     failAllPending(Status(Err::ContainerOffline, "container shut down"));
     PLOG_WARN(kLog, "container %u shut down", containerId_);
 }
@@ -133,13 +137,6 @@ void SegmentContainer::failAllPending(Status error) {
     }
     prefetchInflightBytes_ = 0;
     readStates_.clear();
-}
-
-void SegmentContainer::startCachePolicyTimer() {
-    exec_.scheduleWeak(cfg_.cachePolicyInterval, cacheTimer_.guard([this]() {
-        readIndex_.applyCachePolicy();
-        startCachePolicyTimer();
-    }));
 }
 
 // ------------------------------------------------------------- admission
@@ -421,7 +418,7 @@ void SegmentContainer::enqueueOp(Operation op, std::function<void(Result<int64_t
     if (openFrame_.bytes >= cfg_.maxFrameBytes) {
         closeFrame();
     } else {
-        scheduleFrameTimer();
+        frameTimer_.arm(currentBatchDelay());
     }
 }
 
@@ -433,19 +430,8 @@ sim::Duration SegmentContainer::currentBatchDelay() const {
     return std::clamp<sim::Duration>(d, 0, cfg_.maxBatchDelay);
 }
 
-void SegmentContainer::scheduleFrameTimer() {
-    if (frameTimerArmed_) return;
-    frameTimerArmed_ = true;
-    exec_.schedule(currentBatchDelay(), frameTimer_.guard([this]() {
-        if (offline_) return;
-        frameTimerArmed_ = false;
-        if (!openFrame_.ops.empty()) closeFrame();
-    }));
-}
-
 void SegmentContainer::closeFrame() {
-    frameTimerArmed_ = false;
-    frameTimer_.reset();  // void any armed timer
+    frameTimer_.cancel();
     if (openFrame_.ops.empty()) return;
 
     auto frame = std::move(openFrame_);

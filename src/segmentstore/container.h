@@ -33,6 +33,7 @@
 #include "sim/machine.h"
 #include "sim/future.h"
 #include "sim/lifetime.h"
+#include "sim/timer.h"
 #include "wal/log_client.h"
 
 namespace pravega::segmentstore {
@@ -235,7 +236,6 @@ private:
 
     void enqueueOp(Operation op, std::function<void(Result<int64_t>)> completion);
     void closeFrame();
-    void scheduleFrameTimer();
     void applyFrame(std::vector<Operation> ops,
                     std::vector<std::function<void(Result<int64_t>)>> completions,
                     int64_t walSequence);
@@ -260,7 +260,6 @@ private:
                            const SegmentMeta& meta);
     bool consumePrefetched(SegmentId id, int64_t offset, int64_t readEnd);
     void chargeWastedPrefetch(SegmentId id, int64_t missStart, int64_t missEnd);
-    void startCachePolicyTimer();
     void truncateWalIfPossible();
 
     sim::Core& exec_;
@@ -280,7 +279,6 @@ private:
 
     // Open frame + in-flight frames.
     PendingFrame openFrame_;
-    bool frameTimerArmed_ = false;
     uint64_t inFlightFrames_ = 0;
 
     // Delay-formula inputs (EWMAs, §4.1).
@@ -337,8 +335,8 @@ private:
     obs::LatencyHistogram& mDemandFetchNs_;
     obs::LatencyHistogram& mPrefetchFetchNs_;
 
-    sim::Lifetime frameTimer_;  // reset when a frame closes
-    sim::Lifetime cacheTimer_;  // reset at shutdown
+    sim::Timer frameTimer_;     // closes the open frame; cancelled when it closes
+    sim::Timer cacheTimer_;     // cache policy; cancelled at shutdown
     sim::Lifetime fetches_;     // LTS piece completions; reset at shutdown
     sim::Lifetime admissions_;  // ops held back by throttling
 };

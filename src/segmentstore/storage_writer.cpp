@@ -45,37 +45,18 @@ StorageWriter::StorageWriter(sim::Core& exec, SegmentContainer& container,
       mCompactedBytes_(exec.metrics().counter("store.writer.compacted_bytes")),
       mOrphanChunks_(exec.metrics().gauge("lts.orphan_chunks")),
       mFlushNs_(exec.metrics().histogram("store.writer.flush_ns")),
-      mFlushBatchBytes_(exec.metrics().histogram("store.writer.flush_batch_bytes")) {}
+      mFlushBatchBytes_(exec.metrics().histogram("store.writer.flush_batch_bytes")),
+      scanTimer_(exec, [this]() { scan(); }),
+      compactTimer_(exec, [this]() { compactScan(); }) {}
 
 void StorageWriter::start() {
-    if (running_) return;
-    running_ = true;
-    exec_.scheduleWeak(cfg_.scanInterval, timers_.guard([this]() {
-        running_ = false;
-        start();  // re-arm, then scan
-        scan();
-    }));
-    armCompactTimer();
-}
-
-// The scan timer re-arms every tick through start(); the slower compaction
-// timer keeps its own armed flag so it survives those re-arms. Both die at
-// stop(), which also clears the flag so the next start() arms a fresh
-// compaction timer (a stale one never fires its body, so it never re-arms).
-void StorageWriter::armCompactTimer() {
-    if (cfg_.compactMinChunkBytes == 0 || compactArmed_) return;
-    compactArmed_ = true;
-    exec_.scheduleWeak(cfg_.compactInterval, timers_.guard([this]() {
-        compactArmed_ = false;
-        compactScan();
-        armCompactTimer();
-    }));
+    scanTimer_.every(cfg_.scanInterval);
+    if (cfg_.compactMinChunkBytes > 0) compactTimer_.every(cfg_.compactInterval);
 }
 
 void StorageWriter::stop() {
-    running_ = false;
-    timers_.reset();
-    compactArmed_ = false;
+    scanTimer_.cancel();
+    compactTimer_.cancel();
 }
 
 std::string StorageWriter::chunkKey(SegmentId segment, int64_t index) const {
@@ -292,11 +273,11 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
             // Keep draining a backlogged segment immediately instead of
             // waiting for the next scan tick (the drain must be limited by
             // LTS, not by the scan cadence).
-            if (st.pendingBytes >= cfg_.flushSizeBytes && running_) {
+            if (st.pendingBytes >= cfg_.flushSizeBytes && scanTimer_.armed()) {
                 exec_.post(life_.guard([this, segment]() {
                     auto it = segments_.find(segment);
                     if (it != segments_.end() && !it->second.flushing &&
-                        !it->second.deleted && running_ &&
+                        !it->second.deleted && scanTimer_.armed() &&
                         activeFlushes_ < cfg_.maxConcurrentFlushes) {
                         flushSegment(segment, it->second);
                     }

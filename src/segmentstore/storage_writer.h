@@ -20,6 +20,7 @@
 #include "sim/machine.h"
 #include "sim/future.h"
 #include "sim/lifetime.h"
+#include "sim/timer.h"
 
 namespace pravega::segmentstore {
 
@@ -116,7 +117,6 @@ private:
 
     void scan();
     void flushSegment(SegmentId segment, SegmentState& state);
-    void armCompactTimer();
     void compactScan();
     void compactSegment(SegmentId segment, SegmentState& state);
     std::string chunkKey(SegmentId segment, int64_t index) const;
@@ -135,9 +135,7 @@ private:
     uint64_t pendingBytes_ = 0;
     uint64_t flushedBytes_ = 0;
     int activeFlushes_ = 0;
-    bool running_ = false;
     int64_t compactGen_ = 0;  // uniquifies merged-chunk names
-    bool compactArmed_ = false;
 
     /// Best-effort chunk removal with one retry; failures land on the
     /// `lts.orphan_chunks` gauge instead of being silently dropped.
@@ -153,8 +151,9 @@ private:
     obs::LatencyHistogram& mFlushNs_;
     obs::LatencyHistogram& mFlushBatchBytes_;
 
-    sim::Lifetime life_;    // LTS completions of flushes and compactions
-    sim::Lifetime timers_;  // scan + compaction timers; reset by stop()
+    sim::Lifetime life_;       // LTS completions of flushes and compactions
+    sim::Timer scanTimer_;     // armed from start() to stop()
+    sim::Timer compactTimer_;  // likewise, when compaction is on
 };
 
 }  // namespace pravega::segmentstore

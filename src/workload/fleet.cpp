@@ -18,7 +18,9 @@ uint64_t streamSeed(uint64_t fleetSeed, size_t streamIdx, uint64_t salt) {
 }  // namespace
 
 FleetWorkload::FleetWorkload(cluster::PravegaCluster& cluster, FleetConfig cfg)
-    : cluster_(cluster), cfg_(std::move(cfg)) {
+    : cluster_(cluster),
+      cfg_(std::move(cfg)),
+      timer_(cluster.machine().core(0), [this]() { tick(); }) {
     offeredPerTenant_.assign(cfg_.tenants.size(), 0);
     ackedPerTenant_.assign(cfg_.tenants.size(), 0);
 
@@ -98,23 +100,12 @@ Status FleetWorkload::setup() {
 }
 
 void FleetWorkload::start() {
-    if (running_) return;
-    running_ = true;
+    if (timer_.armed()) return;
     lastTick_ = cluster_.machine().now();
-    armTimer();
+    timer_.every(cfg_.tick);
 }
 
-void FleetWorkload::stop() {
-    running_ = false;
-    timer_.reset();
-}
-
-void FleetWorkload::armTimer() {
-    cluster_.machine().core(0).scheduleWeak(cfg_.tick, timer_.guard([this]() {
-        tick();
-        armTimer();
-    }));
-}
+void FleetWorkload::stop() { timer_.cancel(); }
 
 uint64_t FleetWorkload::modeledProducers() const {
     uint64_t total = 0;

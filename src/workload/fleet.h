@@ -28,6 +28,7 @@
 #include "cluster/pravega_cluster.h"
 #include "controller/quota.h"
 #include "sim/lifetime.h"
+#include "sim/timer.h"
 #include "workload/arrival.h"
 #include "workload/zipf.h"
 
@@ -117,7 +118,6 @@ private:
             : proc(std::move(p)), keyRng(keySeed) {}
     };
 
-    void armTimer();
     void tick();
     void routeAndSend(size_t streamIdx, uint64_t count);
     void sendBatch(size_t streamIdx, segmentstore::SegmentId segment, uint32_t count);
@@ -143,9 +143,8 @@ private:
     uint64_t throttled_ = 0;
     uint64_t inflight_ = 0;
     uint64_t keyChecksum_ = 0;
-    bool running_ = false;
-    sim::Lifetime life_;   // in-flight appends
-    sim::Lifetime timer_;  // tick timer; reset by stop()
+    sim::Lifetime life_;  // in-flight appends
+    sim::Timer timer_;    // tick; cancelled by stop()
 };
 
 }  // namespace pravega::workload

@@ -3,6 +3,8 @@
 // OOM mechanism under a lagging bookie, and the tiering offloader.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "baselines/kafka_like.h"
 #include "baselines/pulsar_like.h"
 #include "sim/network.h"
@@ -105,6 +107,51 @@ TEST_F(KafkaFixture, ProducerBufferLimitRejectsWhenFull) {
     }
     exec.runFor(sim::sec(2));
     EXPECT_GT(rejected, 0);
+}
+
+// Destroying a cluster voids everything it queued: the brokers' page-flush
+// ticks, and the produce pipelines (leader append, replication hops,
+// follower writes) of requests still in flight. These tests pass by running
+// clean: ASan reports any queued work that still touches the cluster.
+TEST_F(KafkaFixture, DestroyedIdleClusterRunsNothing) {
+    auto kafka = makeCluster();
+    kafka->createTopic("t", 4);
+    exec.runFor(sim::msec(50));  // page-flush ticks pending
+    kafka.reset();
+    exec.runFor(sim::sec(1));
+}
+
+// The in-flight cases destroy the cluster at several points of a 50-send
+// run: produce requests in the leader's CPU and append pipeline, in
+// replication and the Pulsar broker pipeline (0.3-2 ms), and a Pulsar
+// dispatch delivery (9 ms).
+const sim::Duration kDestroyPoints[] = {sim::usec(300), sim::usec(400), sim::usec(600),
+                                        sim::usec(800), sim::msec(2),   sim::msec(9)};
+
+TEST_F(KafkaFixture, DestroyedClusterWithSendsInFlightRunsNothing) {
+    // One more round stops the moment the first batch commits, while the
+    // consumer's fetch response is on the leader's CPU.
+    const size_t rounds = std::size(kDestroyPoints) + 1;
+    size_t destroyedMidRun = 0;
+    for (size_t round = 0; round < rounds; ++round) {
+        auto kafka = makeCluster();
+        kafka->createTopic("t", 4);
+        auto consumer = kafka->makeConsumer(2, "t", 0, [](uint32_t, uint64_t, sim::Duration) {});
+        auto producer = kafka->makeProducer(1, "t");
+        for (int i = 0; i < 50; ++i) producer->send("key-" + std::to_string(i), 1024, {});
+        producer->flush();
+        if (round < std::size(kDestroyPoints)) {
+            exec.runFor(kDestroyPoints[round]);
+        } else {
+            while (kafka->bytesProduced() == 0) exec.runFor(sim::usec(10));
+        }
+        destroyedMidRun += kafka->bytesProduced() < 50u * 1024;
+        producer.reset();
+        consumer.reset();
+        kafka.reset();
+        exec.runFor(sim::sec(1));
+    }
+    EXPECT_GE(destroyedMidRun, 5u);
 }
 
 struct PulsarFixture : public ::testing::Test {
@@ -281,6 +328,43 @@ TEST_F(PulsarFixture, OffloaderMovesDataWithoutThrottling) {
 
     exec.runFor(sim::sec(20));
     EXPECT_GT(pulsar.offloadedBytes(), 2ULL << 20);  // but catches up later
+}
+
+// As for Kafka: a destroyed cluster's dispatch ticks, produce pipelines and
+// dispatch deliveries must run nothing.
+TEST_F(PulsarFixture, DestroyedIdleClusterRunsNothing) {
+    makeBookies(3);
+    auto pulsar =
+        std::make_unique<PulsarCluster>(exec, net, 600, env(), nullptr, PulsarConfig{});
+    pulsar->createTopic("t", 4);
+    exec.runFor(sim::msec(50));  // dispatch ticks pending
+    pulsar.reset();
+    exec.runFor(sim::sec(1));
+}
+
+TEST_F(PulsarFixture, DestroyedClusterWithSendsInFlightRunsNothing) {
+    makeBookies(3);
+    size_t destroyedMidRun = 0;
+    for (sim::Duration at : kDestroyPoints) {
+        auto pulsar =
+            std::make_unique<PulsarCluster>(exec, net, 600, env(), nullptr, PulsarConfig{});
+        pulsar->createTopic("t", 4);
+        std::vector<std::unique_ptr<PulsarConsumer>> consumers;
+        for (int p = 0; p < 4; ++p) {
+            consumers.push_back(pulsar->makeConsumer(2, "t", p, false,
+                                                     [](uint32_t, uint64_t, sim::Duration) {}));
+        }
+        auto producer = pulsar->makeProducer(1, "t");
+        for (int i = 0; i < 50; ++i) producer->send("key-" + std::to_string(i), 1024, {});
+        producer->flush();
+        exec.runFor(at);
+        destroyedMidRun += pulsar->bytesProduced() < 50u * 1024;
+        producer.reset();
+        consumers.clear();
+        pulsar.reset();
+        exec.runFor(sim::sec(1));
+    }
+    EXPECT_GE(destroyedMidRun, 4u);
 }
 
 }  // namespace

@@ -345,11 +345,10 @@ TEST_F(ContainerFixture, CompactorMergesSmallChunksAndPreservesOffsets) {
 
 TEST_F(ContainerFixture, CompactionSurvivesWriterRestart) {
     // Regression guard: a stop()/start() cycle while the pre-stop compaction
-    // timer is still in flight must leave compaction working. start()'s
-    // armCompactTimer() used to no-op on the stale armed flag, and the stale
-    // timer cleared the flag but bailed on the epoch mismatch without
-    // re-arming — compaction then stayed dead until the next start() call
-    // happened to re-arm it.
+    // timer is still in flight must leave compaction working. start() once
+    // skipped arming on a stale armed flag, and the stale timer cleared the
+    // flag but bailed on the epoch mismatch without re-arming — compaction
+    // then stayed dead until the next start() call happened to re-arm it.
     {
         auto cfg = fastConfig();
         cfg.storage.maxChunkBytes = 1024;

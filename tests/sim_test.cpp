@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "sim/lifetime.h"
 #include "sim/models.h"
 #include "sim/network.h"
+#include "sim/timer.h"
 
 namespace pravega::sim {
 namespace {
@@ -215,6 +217,117 @@ TEST(LifetimeTest, GuardedCallbackMayDestroyItsOwner) {
     exec.runUntilIdle();
     EXPECT_EQ(owner, nullptr);
     EXPECT_EQ(after, 0);
+}
+
+// An owner of one deadline, counting the runs of its body.
+struct TimerOwner {
+    explicit TimerOwner(Core& exec) : timer(exec, [this]() { ++runs; }) {}
+    int runs = 0;
+    Timer timer;
+};
+
+TEST(TimerTest, ArmIsIdempotentWhileArmed) {
+    Machine exec;
+    TimerOwner owner(exec);
+    owner.timer.arm(msec(1));
+    owner.timer.arm(msec(5));  // already armed: keeps the first deadline
+    EXPECT_TRUE(owner.timer.armed());
+    exec.runUntilIdle();
+    EXPECT_EQ(owner.runs, 1);
+    EXPECT_EQ(exec.now(), msec(1));
+    EXPECT_FALSE(owner.timer.armed());
+    owner.timer.arm(msec(2));  // a fired one-shot arms again
+    exec.runUntilIdle();
+    EXPECT_EQ(owner.runs, 2);
+    EXPECT_EQ(exec.now(), msec(3));
+}
+
+TEST(TimerTest, CancelVoidsThePendingRunAndTheNextArmStartsFresh) {
+    Machine exec;
+    TimerOwner owner(exec);
+    owner.timer.arm(msec(1));
+    owner.timer.cancel();
+    EXPECT_FALSE(owner.timer.armed());
+    owner.timer.arm(msec(3));
+    exec.runUntilIdle();
+    EXPECT_EQ(owner.runs, 1);
+    EXPECT_EQ(exec.now(), msec(3));
+    // The voided run still fired as an event: cancelling changes no schedule.
+    EXPECT_EQ(exec.executedEvents(), 2u);
+}
+
+TEST(TimerTest, DestroyedOwnerRunsNothing) {
+    Machine exec;
+    int runs = 0;
+    {
+        TimerOwner once(exec);
+        TimerOwner periodic(exec);
+        once.timer.arm(msec(1));
+        periodic.timer.every(msec(1));
+        exec.runFor(usec(500));
+        runs = once.runs + periodic.runs;
+    }
+    exec.runFor(msec(10));  // both queued runs fire into freed owners
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(exec.executedEvents(), 2u);
+}
+
+TEST(TimerTest, FireThatCancelsOrDestroysItsOwnerDoesNotRearm) {
+    Machine exec;
+    int runs = 0;
+    std::unique_ptr<Timer> timer;
+    timer = std::make_unique<Timer>(exec, [&]() {
+        if (++runs == 3) timer->cancel();
+    });
+    timer->every(msec(1));
+    exec.runFor(msec(10));
+    EXPECT_EQ(runs, 3);
+    EXPECT_FALSE(timer->armed());
+
+    runs = 0;
+    timer = std::make_unique<Timer>(exec, [&]() {
+        ++runs;
+        timer.reset();  // the timer and its body die mid-call
+    });
+    timer->every(msec(1));
+    exec.runFor(msec(10));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(timer, nullptr);
+}
+
+TEST(TimerTest, EveryIsWeakAndRunsUntilCancelled) {
+    Machine exec;
+    TimerOwner owner(exec);
+    owner.timer.every(msec(1));
+    owner.timer.every(msec(7));  // already armed: keeps the first period
+    EXPECT_EQ(exec.runUntilIdle(), 0u);  // background work never keeps it busy
+    EXPECT_TRUE(owner.timer.armed());
+    exec.runFor(msec(5));
+    EXPECT_EQ(owner.runs, 5);
+    EXPECT_TRUE(owner.timer.armed());
+    owner.timer.cancel();
+    exec.runFor(msec(5));
+    EXPECT_EQ(owner.runs, 5);
+}
+
+TEST(TimerTest, CancelledRunsStillExecuteAsEvents) {
+    // A cancelled run is a DES event whose body is skipped, exactly like a
+    // guard voided by its Lifetime: the event count does not change.
+    auto events = [](bool cancel) {
+        Machine exec;
+        TimerOwner once(exec);
+        TimerOwner periodic(exec);
+        once.timer.arm(msec(1));
+        periodic.timer.every(msec(2));
+        if (cancel) {
+            once.timer.cancel();
+            periodic.timer.cancel();
+        }
+        exec.runFor(msec(3));
+        return std::pair(exec.executedEvents(), once.runs + periodic.runs);
+    };
+    EXPECT_EQ(events(false), std::pair(uint64_t{2}, 2));
+    EXPECT_EQ(events(true), std::pair(uint64_t{2}, 0));
 }
 
 TEST(DiskModelTest, SequentialWritesToSameFileAvoidSwitchPenalty) {
