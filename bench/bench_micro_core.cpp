@@ -1,6 +1,7 @@
 // Micro-benchmarks for the core data structures (the Fig 4 block cache, the
 // AVL read index, serialization, the obs:: latency histogram) plus a
-// deterministic virtual-time core scenario and the LTS codec kernel row.
+// deterministic virtual-time core scenario, the LTS codec kernel row and the
+// segment-count scaling row of one container.
 //
 // The scenario runs first and emits BENCH_micro_core.json through
 // bench::Report: every value in it derives from virtual time and seeded
@@ -22,9 +23,13 @@
 #include "common/hash.h"
 #include "common/serde.h"
 #include "lts/chunk_codec.h"
+#include "lts/chunk_storage.h"
 #include "segmentstore/avl_map.h"
 #include "segmentstore/cache.h"
+#include "segmentstore/container.h"
+#include "sim/network.h"
 #include "sim/random.h"
+#include "wal/bookie.h"
 
 using namespace pravega;
 using namespace pravega::segmentstore;
@@ -191,6 +196,105 @@ void addCodecRow(pravega::bench::Report& report) {
                      nullptr, "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic");
 }
 
+/// One container ingesting the same appends spread over `segments` segments.
+struct ScalingRun {
+    uint64_t acked = 0;
+    uint64_t desEvents = 0;
+    uint64_t flushedBytes = 0;
+    double wallSec = 0;
+};
+
+ScalingRun runSegmentScaling(uint32_t segments) {
+    constexpr int kIngestMs = 1000;
+    constexpr int kAppendsPerMs = 16;
+    ScalingRun run;
+    sim::Machine exec;
+    sim::Network net{exec, sim::Link::Config{}};
+    std::vector<std::unique_ptr<sim::DiskModel>> disks;
+    std::vector<std::unique_ptr<wal::Bookie>> bookies;
+    std::vector<wal::Bookie*> bookiePtrs;
+    for (int i = 0; i < 3; ++i) {
+        disks.push_back(std::make_unique<sim::DiskModel>(exec, sim::DiskModel::Config{}));
+        bookies.push_back(std::make_unique<wal::Bookie>(exec, 100 + i, *disks.back(),
+                                                        wal::Bookie::Config{}));
+        bookiePtrs.push_back(bookies.back().get());
+    }
+    wal::LedgerRegistry registry;
+    wal::LogMetadataStore logMeta;
+    lts::InMemoryChunkStorage lts;
+    BlockCache cache{BlockCache::Config{}};
+    SegmentContainer container(exec, 1, wal::WalEnv{exec, net, registry, logMeta, bookiePtrs},
+                               /*host=*/1, lts, cache, ContainerConfig{});
+    if (!container.start().isOk()) std::exit(1);
+    for (uint32_t s = 1; s <= segments; ++s) {
+        container.createSegment(makeSegmentId(0, s), "scaling/" + std::to_string(s));
+    }
+    exec.runUntilIdle();
+
+    // 256 B appends round-robin over the segments at 16 per ms of virtual
+    // time for 1 s, then 1 s for the storage writer to drain the tail.
+    const SharedBuf payload{Bytes(256, 0x5A)};
+    const uint64_t eventsBefore = exec.executedEvents();
+    const auto wallStart = std::chrono::steady_clock::now();
+    uint32_t next = 0;
+    for (int ms = 0; ms < kIngestMs; ++ms) {
+        for (int i = 0; i < kAppendsPerMs; ++i) {
+            container.append(makeSegmentId(0, next++ % segments + 1), payload)
+                .onComplete([&run](const Result<int64_t>& r) {
+                    if (r.isOk()) ++run.acked;
+                });
+        }
+        exec.runFor(sim::msec(1));
+    }
+    exec.runFor(sim::sec(1));
+    run.wallSec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
+    run.desEvents = exec.executedEvents() - eventsBefore;
+    run.flushedBytes = container.storageWriter().flushedBytes();
+    if (run.acked != static_cast<uint64_t>(kIngestMs) * kAppendsPerMs) {
+        std::fprintf(stderr, "micro_core: scaling run acked %llu appends\n",
+                     static_cast<unsigned long long>(run.acked));
+        std::exit(1);
+    }
+    return run;
+}
+
+/// Fastest of 3 fresh runs, which must execute identical work.
+ScalingRun bestScalingRun(uint32_t segments) {
+    ScalingRun best = runSegmentScaling(segments);
+    for (int i = 1; i < 3; ++i) {
+        ScalingRun again = runSegmentScaling(segments);
+        if (again.desEvents != best.desEvents) {
+            std::fprintf(stderr, "micro_core: scaling replay at %u segments diverged\n", segments);
+            std::exit(1);
+        }
+        best.wallSec = std::min(best.wallSec, again.wallSec);
+    }
+    return best;
+}
+
+/// Segment-count scaling row: wall ns per applied append at 16 and at 4096
+/// segments on one container (same appends, best of 3 each) and their
+/// ratio. Per-append storage-writer bookkeeping that walks every segment
+/// shows up as a ratio well above 1.
+void addSegmentScalingRow(pravega::bench::Report& report) {
+    const ScalingRun small = bestScalingRun(16);
+    const ScalingRun large = bestScalingRun(4096);
+    const double smallNs = small.wallSec * 1e9 / static_cast<double>(small.acked);
+    const double largeNs = large.wallSec * 1e9 / static_cast<double>(large.acked);
+    report.section("segment scaling: one container, 16 vs 4096 segments, same appends");
+    report.addCustom("segment-scaling",
+                     {{"appends", static_cast<double>(small.acked)},
+                      {"des_events_16seg", static_cast<double>(small.desEvents)},
+                      {"des_events_4096seg", static_cast<double>(large.desEvents)},
+                      {"flushed_bytes_16seg", static_cast<double>(small.flushedBytes)},
+                      {"flushed_bytes_4096seg", static_cast<double>(large.flushedBytes)},
+                      {"ns_per_append_16seg", smallNs},
+                      {"ns_per_append_4096seg", largeNs},
+                      {"segment_scaling_ratio", smallNs > 0 ? largeNs / smallNs : 0.0}},
+                     nullptr, "ns columns and the ratio are wall-clock; the rest are deterministic");
+}
+
 /// One run of the core scenario in a fresh world.
 struct Replay {
     std::unique_ptr<pravega::bench::PravegaWorld> world;
@@ -272,6 +376,7 @@ void runDeterministicScenario() {
          {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents}},
         nullptr, "events/sec is wall-clock; copy columns are deterministic");
     addCodecRow(report);
+    addSegmentScalingRow(report);
     report.finish();
 
     const char* dump = std::getenv("BENCH_DUMP_METRICS");

@@ -224,7 +224,7 @@ diff "${OUT_DIR}/BENCH_fig13_autoscaling.json" "${FLEET_B}/BENCH_fig13_autoscali
   || { echo "fig13 JSON differs between same-seed runs" >&2; exit 1; }
 echo "fig13 determinism OK: fleet sweep byte-identical across runs"
 
-echo "== perf gate: engine events/sec + codec MB/s vs committed baseline =="
+echo "== perf gate: engine events/sec, codec MB/s, segment scaling vs committed baseline =="
 # The copy budget and the codec row's stored size and CRC are deterministic
 # and always enforced. The events/sec and codec MB/s floors are wall-clock
 # and only meaningful on an unsanitized build on the reference container;
@@ -260,6 +260,15 @@ if gate_rate:
             f"({base['gate_fraction']:.0%} of committed baseline "
             f"{base['values'][key]:,.0f}); set BENCH_PERF_GATE=0 to bypass")
         print(f"perf gate OK: {what} {got:,.0f} {unit} >= {floor:,.0f}")
+    scaling = next(r for r in cur["rows"] if r["series"] == "segment-scaling")["values"]
+    ratio = scaling["segment_scaling_ratio"]
+    ceiling = base["values"]["segment_scaling_ratio"] / base["gate_fraction"]
+    assert ratio <= ceiling, (
+        f"segment scaling regressed: ns per append at 4096 segments is {ratio:.2f}x "
+        f"that at 16 > gate {ceiling:.2f}x (committed ceiling "
+        f"{base['values']['segment_scaling_ratio']:.2f} / {base['gate_fraction']}); "
+        f"set BENCH_PERF_GATE=0 to bypass")
+    print(f"perf gate OK: segment scaling {ratio:.2f}x <= {ceiling:.2f}x")
     print(f"copy budget {copied} B/event and codec output unchanged")
 else:
     print(f"perf gate: rate floors SKIPPED (BENCH_PERF_GATE=0); "

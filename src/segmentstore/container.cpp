@@ -53,7 +53,8 @@ SegmentContainer::SegmentContainer(sim::Core& exec, uint32_t containerId, wal::W
       }),
       cacheTimer_(exec, [this]() { readIndex_.applyCachePolicy(); }) {
     readIndex_.setEvictionCounter(&mCacheEvictions_);
-    storageWriter_ = std::make_unique<StorageWriter>(exec, *this, lts, cfg.storage);
+    storageWriter_ = std::make_unique<StorageWriter>(exec, *this, lts, cfg.storage,
+                                                     cfg.throttleStartSegmentBytes);
 }
 
 SegmentContainer::~SegmentContainer() {
@@ -126,6 +127,11 @@ void SegmentContainer::failAllPending(Status error) {
     for (auto& [seg, list] : waiters) {
         for (auto& w : list) w.wake.setError(error);
     }
+    auto parked = std::move(flushWaiters_);
+    flushWaiters_.clear();
+    for (auto& [seg, list] : parked) {
+        for (auto& w : list) w.promise.setError(error);
+    }
     // Drain the in-flight fetch table; late piece completions are dropped.
     fetches_.reset();
     auto fetches = std::move(inflightFetches_);
@@ -148,7 +154,7 @@ sim::Duration SegmentContainer::throttleDelay() const {
         f = (backlog - cfg_.throttleStartSeconds) /
             (cfg_.throttleFullSeconds - cfg_.throttleStartSeconds);
     }
-    uint64_t segPending = storageWriter_->maxSegmentPendingBytes();
+    uint64_t segPending = storageWriter_->maxBacklogBytes();  // 0 at or below the start
     if (segPending > cfg_.throttleStartSegmentBytes) {
         double g = static_cast<double>(segPending - cfg_.throttleStartSegmentBytes) /
                    static_cast<double>(cfg_.throttleFullSegmentBytes -
@@ -594,6 +600,7 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
                     }
                 }
                 if (!replay) wakeTailWaiters(op.segment);
+                wakeFlushWaiters(op.segment);
             }
             break;
         }
@@ -644,6 +651,26 @@ void SegmentContainer::wakeTailWaiters(SegmentId id) {
     }
     if (list.empty()) tailWaiters_.erase(it);
     for (auto& w : ready) w.wake.setValue(sim::Unit{});
+}
+
+void SegmentContainer::wakeFlushWaiters(SegmentId id) {
+    auto it = flushWaiters_.find(id);
+    if (it == flushWaiters_.end()) return;
+    const SegmentMeta* meta = findSegment(id);
+    std::vector<PendingRead> ready;
+    auto& list = it->second;
+    for (auto wit = list.begin(); wit != list.end();) {
+        if (!meta || wit->offset < meta->props.storageLength) {
+            ready.push_back(std::move(*wit));
+            wit = list.erase(wit);
+        } else {
+            ++wit;
+        }
+    }
+    if (list.empty()) flushWaiters_.erase(it);
+    for (auto& w : ready) {
+        attemptRead(id, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
+    }
 }
 
 // ----------------------------------------------------------- checkpoints
@@ -747,6 +774,7 @@ void SegmentContainer::onSegmentFlushed(SegmentId id, int64_t newStorageLength) 
     if (!meta) return;
     meta->props.storageLength = std::max(meta->props.storageLength, newStorageLength);
     readIndex_.setStorageLength(id, meta->props.storageLength);
+    wakeFlushWaiters(id);
 }
 
 void SegmentContainer::onStorageProgress() {
@@ -872,8 +900,10 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
     auto chunks = storageWriter_->findChunks(id, start, end - start);
     // Build contiguous per-chunk pieces covering [start, ...), bounded by
     // the parallel-fetch fan-out cap. A gap (or a range past the flushed
-    // chunks) stops coverage; demand readers on a gap get a hard error so
-    // the inconsistency surfaces instead of looping.
+    // chunks) stops coverage. A demand read at or above storageLength waits
+    // for the storage writer to flush its bytes; below it, a gap is chunk
+    // metadata out of step with the read index, a hard error that surfaces
+    // instead of looping.
     struct Piece {
         std::string name;
         uint64_t within = 0;
@@ -892,7 +922,11 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
         if (static_cast<int>(pieces.size()) >= rp.maxParallelChunkFetches) break;
     }
     if (pieces.empty()) {
-        if (demand) {
+        if (!demand) return start;
+        const SegmentMeta* meta = findSegment(id);
+        if (meta && !meta->props.isTable && start >= meta->props.storageLength) {
+            flushWaiters_[id].push_back(std::move(*demand));
+        } else {
             demand->promise.setError(Err::IoError, "chunk metadata inconsistent with read index");
         }
         return start;

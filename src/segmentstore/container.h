@@ -181,6 +181,9 @@ public:
     wal::LogClient& walLog() { return *log_; }
     ReadIndex& readIndex() { return readIndex_; }
 
+    /// Admission delay an append admitted now would get (§4.3 throttling).
+    sim::Duration throttleDelay() const;
+
     // ---- used by StorageWriter ----------------------------------------
     void onSegmentFlushed(SegmentId id, int64_t newStorageLength);
     void onStorageProgress();
@@ -232,7 +235,6 @@ private:
 
     /// Admission gate: serializes op processing and applies throttling.
     void admit(std::function<void()> fn);
-    sim::Duration throttleDelay() const;
 
     void enqueueOp(Operation op, std::function<void(Result<int64_t>)> completion);
     void closeFrame();
@@ -244,6 +246,7 @@ private:
     Bytes serializeCheckpoint() const;
     Status restoreCheckpoint(BytesView snapshot);
     void wakeTailWaiters(SegmentId id);
+    void wakeFlushWaiters(SegmentId id);
     void failAllPending(Status error);
     void attemptRead(SegmentId id, int64_t offset, int64_t maxBytes,
                      sim::Promise<ReadResult> promise, int depth, bool counted);
@@ -299,6 +302,10 @@ private:
     uint64_t checkpointsWritten_ = 0;
 
     std::map<SegmentId, std::vector<TailWaiter>> tailWaiters_;
+    // Demand reads that missed at or above storageLength with no chunk to
+    // fetch: the bytes are only in the storage writer's queue (the cache
+    // had no room for them). Retried once a flush passes their offset.
+    std::map<SegmentId, std::vector<PendingRead>> flushWaiters_;
     std::map<SegmentId, SegmentRate> rates_;
     std::map<SegmentId, SegmentRate> cumRates_;
     uint64_t cumBytes_ = 0;

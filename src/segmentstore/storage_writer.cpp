@@ -33,11 +33,13 @@ Result<ChunkRecord> ChunkRecord::deserialize(BytesView data) {
 }
 
 StorageWriter::StorageWriter(sim::Core& exec, SegmentContainer& container,
-                             lts::ChunkStorage& storage, StorageWriterConfig cfg)
+                             lts::ChunkStorage& storage, StorageWriterConfig cfg,
+                             uint64_t backlogLimit)
     : exec_(exec),
       container_(container),
       storage_(storage),
       cfg_(cfg),
+      backlogLimit_(backlogLimit),
       mFlushes_(exec.metrics().counter("store.writer.flushes")),
       mFlushBytes_(exec.metrics().counter("store.writer.flush_bytes")),
       mFlushFailures_(exec.metrics().counter("store.writer.flush_failures")),
@@ -93,6 +95,30 @@ void StorageWriter::queueAppend(SegmentId segment, int64_t offset, SharedBuf dat
     state.pendingBytes += data.size();
     pendingBytes_ += data.size();
     state.pending.push_back(PendingAppend{offset, std::move(data), walSequence});
+    reindex(segment, state);
+}
+
+void StorageWriter::reindex(SegmentId segment, SegmentState& state) {
+    int64_t head = state.pending.empty() ? kUnindexed : state.pending.front().walSequence;
+    if (head != state.indexedHead) {
+        if (state.indexedHead == kUnindexed) {
+            nonEmpty_.insert(segment);
+        } else {
+            heads_.erase({state.indexedHead, segment});
+        }
+        if (head == kUnindexed) {
+            nonEmpty_.erase(segment);
+        } else {
+            heads_.insert({head, segment});
+        }
+        state.indexedHead = head;
+    }
+    uint64_t backlog = state.pendingBytes > backlogLimit_ ? state.pendingBytes : 0;
+    if (backlog != state.indexedBacklog) {
+        if (state.indexedBacklog != 0) backlogs_.erase({state.indexedBacklog, segment});
+        if (backlog != 0) backlogs_.insert({backlog, segment});
+        state.indexedBacklog = backlog;
+    }
 }
 
 void StorageWriter::notifyDeleted(SegmentId segment) {
@@ -102,6 +128,7 @@ void StorageWriter::notifyDeleted(SegmentId segment) {
         it->second.pending.clear();
         it->second.pendingBytes = 0;
         it->second.deleted = true;
+        reindex(segment, it->second);
     }
     // Chunk removal is best-effort and asynchronous, but a dropped failure
     // would leave an orphan chunk that totalBytes() counts forever — so
@@ -130,13 +157,33 @@ void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
     }));
 }
 
+bool StorageWriter::flushReady(const SegmentState& state) const {
+    return !state.flushing && !state.pending.empty() &&
+           (state.pendingBytes >= cfg_.flushSizeBytes ||
+            exec_.now() - state.oldestPending >= cfg_.flushTimeout);
+}
+
+std::vector<SegmentId> StorageWriter::flushCandidates() const {
+    std::vector<SegmentId> out;
+    for (SegmentId segment : nonEmpty_) {
+        if (flushReady(segments_.find(segment)->second)) out.push_back(segment);
+    }
+    return out;
+}
+
 void StorageWriter::scan() {
-    for (auto& [segment, state] : segments_) {
-        if (state.flushing || state.deleted || state.pending.empty()) continue;
+    for (auto it = nonEmpty_.begin(); it != nonEmpty_.end();) {
+        SegmentId segment = *it;
+        auto& state = segments_.find(segment)->second;
+        if (!flushReady(state)) {
+            ++it;
+            continue;
+        }
         if (activeFlushes_ >= cfg_.maxConcurrentFlushes) break;
-        bool sizeReady = state.pendingBytes >= cfg_.flushSizeBytes;
-        bool ageReady = exec_.now() - state.oldestPending >= cfg_.flushTimeout;
-        if (sizeReady || ageReady) flushSegment(segment, state);
+        flushSegment(segment, state);
+        // Found again by key: a flush with nothing new to write retires its
+        // queue inline, which removes it from nonEmpty_.
+        it = nonEmpty_.upper_bound(segment);
     }
 }
 
@@ -197,6 +244,7 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
         state.pendingBytes -= flushBytes;
         pendingBytes_ -= flushBytes;
         if (!state.pending.empty()) state.oldestPending = exec_.now();
+        reindex(segment, state);
         container_.onStorageProgress();
         return;
     }
@@ -266,6 +314,7 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
             st.pendingBytes -= std::min<uint64_t>(flushBytes, st.pendingBytes);
             pendingBytes_ -= std::min<uint64_t>(flushBytes, pendingBytes_);
             if (!st.pending.empty()) st.oldestPending = exec_.now();
+            reindex(segment, st);
             st.flushing = false;
             --activeFlushes_;
             container_.onSegmentFlushed(segment, finalLength);
@@ -504,22 +553,6 @@ Result<int64_t> StorageWriter::reconcileSegment(SegmentId segment) {
     return last.startOffset + last.length;
 }
 
-Result<ChunkRecord> StorageWriter::findChunk(SegmentId segment, int64_t offset) const {
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    // Records are ordered by chunk index == offset order; linear scan from
-    // the back finds the covering chunk (reads cluster near recent data).
-    for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
-        auto rec = ChunkRecord::deserialize(it->second.value);
-        if (!rec) continue;
-        if (rec.value().startOffset <= offset &&
-            offset < rec.value().startOffset + rec.value().length) {
-            return rec.value();
-        }
-    }
-    return Status(Err::NotFound, "no chunk covers offset");
-}
-
 std::vector<ChunkRecord> StorageWriter::findChunks(SegmentId segment, int64_t offset,
                                                    int64_t length) const {
     std::vector<ChunkRecord> out;
@@ -537,23 +570,24 @@ std::vector<ChunkRecord> StorageWriter::findChunks(SegmentId segment, int64_t of
     return out;
 }
 
-uint64_t StorageWriter::maxSegmentPendingBytes() const {
-    uint64_t worst = 0;
-    for (const auto& [segment, state] : segments_) {
-        worst = std::max(worst, state.pendingBytes);
-    }
-    return worst;
+int64_t StorageWriter::flushedWalSequence() const {
+    if (heads_.empty()) return container_.lastAppliedSequence();
+    return heads_.begin()->first - 1;
 }
 
-int64_t StorageWriter::flushedWalSequence() const {
-    int64_t minPending = INT64_MAX;
+StorageWriter::Aggregates StorageWriter::recomputeAggregates() const {
+    Aggregates out;
+    int64_t minHead = INT64_MAX;
     for (const auto& [segment, state] : segments_) {
+        out.maxPendingBytes = std::max(out.maxPendingBytes, state.pendingBytes);
         if (!state.pending.empty()) {
-            minPending = std::min(minPending, state.pending.front().walSequence);
+            minHead = std::min(minHead, state.pending.front().walSequence);
         }
+        if (flushReady(state)) out.flushCandidates.push_back(segment);
     }
-    if (minPending == INT64_MAX) return container_.lastAppliedSequence();
-    return minPending - 1;
+    out.flushedWalSequence =
+        minHead == INT64_MAX ? container_.lastAppliedSequence() : minHead - 1;
+    return out;
 }
 
 }  // namespace pravega::segmentstore

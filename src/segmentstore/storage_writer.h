@@ -9,7 +9,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -59,8 +61,10 @@ struct ChunkRecord {
 
 class StorageWriter {
 public:
+    /// `backlogLimit` is the container's throttle start: only backlogs above
+    /// it are indexed for maxBacklogBytes().
     StorageWriter(sim::Core& exec, SegmentContainer& container, lts::ChunkStorage& storage,
-                  StorageWriterConfig cfg);
+                  StorageWriterConfig cfg, uint64_t backlogLimit);
 
     void start();
     void stop();
@@ -77,9 +81,6 @@ public:
     /// chunk length (the bytes are identical, appends replay verbatim).
     Result<int64_t> reconcileSegment(SegmentId segment);
 
-    /// Locates the chunk covering `offset` for LTS reads.
-    Result<ChunkRecord> findChunk(SegmentId segment, int64_t offset) const;
-
     /// All chunks overlapping [offset, offset+length), in offset order.
     /// Lets the read pipeline fetch a multi-chunk range in parallel instead
     /// of discovering chunks one fetch-retry round at a time (§5.7).
@@ -95,10 +96,27 @@ public:
     /// Completed chunk-compaction merges (see compactMinChunkBytes).
     uint64_t compactions() const;
 
-    /// Largest single-segment unflushed backlog. Flushes are serialized per
-    /// segment, so this measures how far LTS drain lags ingest for the
-    /// hottest segment — the ingest-throttling signal (§4.3).
-    uint64_t maxSegmentPendingBytes() const;
+    /// Largest single-segment unflushed backlog when it exceeds the
+    /// backlog limit, else 0. Flushes are serialized per segment, so this
+    /// measures how far LTS drain lags ingest for the hottest segment — the
+    /// ingest-throttling signal (§4.3).
+    uint64_t maxBacklogBytes() const {
+        return backlogs_.empty() ? 0 : backlogs_.rbegin()->first;
+    }
+
+    /// Segments the next scan() flushes, in order, until it reaches the
+    /// maxConcurrentFlushes cut-off: idle non-empty queues that are size-
+    /// or age-ready.
+    std::vector<SegmentId> flushCandidates() const;
+
+    /// What the indexes answer, recomputed by walking every segment (tests
+    /// check the indexed accessors against it).
+    struct Aggregates {
+        uint64_t maxPendingBytes = 0;  // over all segments, limit or not
+        int64_t flushedWalSequence = 0;
+        std::vector<SegmentId> flushCandidates;
+    };
+    Aggregates recomputeAggregates() const;
 
 private:
     struct PendingAppend {
@@ -113,8 +131,15 @@ private:
         int64_t nextChunkIndex = 0;
         bool flushing = false;
         bool deleted = false;
+        // Keys this segment is filed under in heads_ and backlogs_.
+        int64_t indexedHead = kUnindexed;
+        uint64_t indexedBacklog = 0;  // 0: not in backlogs_
     };
+    static constexpr int64_t kUnindexed = INT64_MIN;
 
+    /// Re-files `segment` in the three indexes after its queue changed.
+    void reindex(SegmentId segment, SegmentState& state);
+    bool flushReady(const SegmentState& state) const;
     void scan();
     void flushSegment(SegmentId segment, SegmentState& state);
     void compactScan();
@@ -132,6 +157,15 @@ private:
     StorageWriterConfig cfg_;
 
     std::map<SegmentId, SegmentState> segments_;
+    // Indexes over segments_, kept equal to a walk over it by reindex():
+    // non-empty queues in SegmentId order (the flush scan), (head WAL
+    // sequence, segment) of non-empty queues (the WAL-truncation frontier),
+    // and (pendingBytes, segment) of queues above backlogLimit_ (the
+    // throttle input).
+    std::set<SegmentId> nonEmpty_;
+    std::set<std::pair<int64_t, SegmentId>> heads_;
+    std::set<std::pair<uint64_t, SegmentId>> backlogs_;
+    uint64_t backlogLimit_;
     uint64_t pendingBytes_ = 0;
     uint64_t flushedBytes_ = 0;
     int activeFlushes_ = 0;

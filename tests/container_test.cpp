@@ -3,7 +3,11 @@
 // truncation, metadata checkpoints, crash recovery, and fencing (§4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "lts/chunk_storage.h"
+#include "lts/fault_injection.h"
 #include "segmentstore/container.h"
 #include "sim/network.h"
 
@@ -753,6 +757,169 @@ TEST_F(ContainerFixture, OfflineContainerRejectsEverything) {
     exec.runUntilIdle();
     EXPECT_EQ(a.result().code(), Err::ContainerOffline);
     EXPECT_EQ(r.result().code(), Err::ContainerOffline);
+}
+
+TEST_F(ContainerFixture, ReadAboveStorageLengthWaitsForFlushUnderCachePressure) {
+    // A 256 KB cache fills with unflushed data faster than a 1 MB/s LTS
+    // drains it, so ReadIndex::append returns CacheFull and leaves holes
+    // above storageLength whose only copy is the storage writer's queue. A
+    // read landing in a hole waits for the flush past it and is then served
+    // from LTS; every acked byte reads back.
+    BlockCache::Config tiny;
+    tiny.blockSize = 4096;
+    tiny.blocksPerBuffer = 4;
+    tiny.maxBuffers = 16;
+    BlockCache smallCache(tiny);
+    sim::ObjectStoreModel::Config slowCfg;
+    slowCfg.perStreamBytesPerSec = 1024 * 1024;
+    slowCfg.aggregateBytesPerSec = 1024 * 1024;
+    lts::SimulatedObjectStorage slowLts(exec, slowCfg);
+    auto cfg = fastConfig();
+    cfg.storage.flushSizeBytes = 64 * 1024;
+    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, slowLts, smallCache, cfg);
+    ASSERT_TRUE(c->start().isOk());
+    const SegmentId segs[] = {kSeg, makeSegmentId(0, 2)};
+    for (SegmentId seg : segs) c->createSegment(seg, "s" + std::to_string(seg));
+    exec.runUntilIdle();
+
+    constexpr int64_t kAppend = 4096;
+    constexpr int64_t kLength = 1024 * 1024;  // per segment: 4x the cache
+    auto byteAt = [](SegmentId seg, int64_t offset) {
+        return static_cast<uint8_t>(offset * 31 + offset / kAppend + seg * 7);
+    };
+    int acked = 0;
+    for (int64_t off = 0; off < kLength; off += kAppend) {
+        for (SegmentId seg : segs) {
+            Bytes data(kAppend);
+            for (int64_t i = 0; i < kAppend; ++i) data[i] = byteAt(seg, off + i);
+            c->append(seg, SharedBuf(std::move(data)), 0, -1, 1)
+                .onComplete([&](const Result<int64_t>& r) {
+                    ASSERT_TRUE(r.isOk()) << r.status().toString();
+                    ++acked;
+                });
+        }
+    }
+    const int appends = static_cast<int>(2 * kLength / kAppend);
+    while (acked < appends) ASSERT_TRUE(exec.runOne());
+    for (SegmentId seg : segs) ASSERT_LT(c->getInfo(seg).value().storageLength, kLength / 2);
+
+    // One sequential reader per 64 KB stretch of each segment, all started
+    // while most of the data is still unflushed.
+    constexpr int64_t kStretch = 64 * 1024;
+    std::vector<std::string> failures;
+    int64_t verified = 0;
+    std::function<void(SegmentId, int64_t, int64_t)> readFrom = [&](SegmentId seg,
+                                                                    int64_t off,
+                                                                    int64_t end) {
+        if (off >= end) return;
+        c->read(seg, off, end - off).onComplete([&, seg, off, end](const Result<ReadResult>& r) {
+            if (!r.isOk()) {
+                failures.push_back(r.status().toString());
+                return;
+            }
+            const Bytes& data = r.value().data;
+            for (size_t i = 0; i < data.size(); ++i) {
+                if (data[i] != byteAt(seg, off + static_cast<int64_t>(i))) {
+                    failures.push_back("wrong byte at " + std::to_string(off + i));
+                    return;
+                }
+            }
+            verified += static_cast<int64_t>(data.size());
+            readFrom(seg, off + static_cast<int64_t>(data.size()), end);
+        });
+    };
+    for (SegmentId seg : segs) {
+        for (int64_t off = 0; off < kLength; off += kStretch) readFrom(seg, off, off + kStretch);
+    }
+    exec.runFor(sim::sec(10));  // the scan timer is weak: runUntilIdle would stop it
+    EXPECT_TRUE(failures.empty()) << failures.size() << " reads failed, first: " << failures[0];
+    EXPECT_EQ(verified, 2 * kLength);
+}
+
+TEST_F(ContainerFixture, StorageWriterIndexesMatchBruteForce) {
+    // A seeded random mix of appends over 200 segments, sim steps (flushes),
+    // LTS append outages (failed flushes keep their queue) and deletes.
+    // After every step the indexed throttle input, WAL-truncation frontier
+    // and flush candidates must equal a walk over every segment.
+    lts::FaultInjectionChunkStorage::Config faults;
+    faults.failOps = lts::FaultInjectionChunkStorage::kAppend;
+    faults.extraLatency = sim::msec(3);  // flushes stay in flight across steps
+    lts::FaultInjectionChunkStorage flaky(exec, lts, faults);
+    auto cfg = fastConfig();
+    cfg.throttleStartSegmentBytes = 16 * 1024;
+    cfg.throttleFullSegmentBytes = 64 * 1024;
+    cfg.maxThrottleDelay = sim::msec(5);
+    cfg.storage.flushSizeBytes = 32 * 1024;
+    cfg.storage.maxConcurrentFlushes = 4;
+    auto c = makeContainer(1, cfg, &flaky);
+    constexpr int kSegments = 200;
+    std::vector<SegmentId> live;
+    for (int i = 0; i < kSegments; ++i) {
+        live.push_back(makeSegmentId(0, static_cast<uint32_t>(i + 1)));
+        c->createSegment(live.back(), "s" + std::to_string(i));
+    }
+    exec.runUntilIdle();
+
+    const StorageWriter& sw = c->storageWriter();
+    auto expectedDelay = [&](uint64_t maxPending) {
+        if (maxPending <= cfg.throttleStartSegmentBytes) return sim::Duration{0};
+        double g = static_cast<double>(maxPending - cfg.throttleStartSegmentBytes) /
+                   static_cast<double>(cfg.throttleFullSegmentBytes -
+                                       cfg.throttleStartSegmentBytes);
+        g = std::clamp(g, 0.0, 1.0);
+        return static_cast<sim::Duration>(g * static_cast<double>(cfg.maxThrottleDelay));
+    };
+    uint64_t throttledChecks = 0;
+    uint64_t frontierChecks = 0;
+    auto check = [&](int step) {
+        auto brute = sw.recomputeAggregates();
+        uint64_t overLimit =
+            brute.maxPendingBytes > cfg.throttleStartSegmentBytes ? brute.maxPendingBytes : 0;
+        ASSERT_EQ(sw.maxBacklogBytes(), overLimit) << "step " << step;
+        ASSERT_EQ(c->throttleDelay(), expectedDelay(brute.maxPendingBytes)) << "step " << step;
+        ASSERT_EQ(sw.flushedWalSequence(), brute.flushedWalSequence) << "step " << step;
+        ASSERT_EQ(sw.flushCandidates(), brute.flushCandidates) << "step " << step;
+        if (overLimit > 0) ++throttledChecks;
+        if (brute.flushedWalSequence < c->lastAppliedSequence()) ++frontierChecks;
+    };
+
+    sim::Rng rng(16);
+    for (int step = 0; step < 3000; ++step) {
+        uint64_t dice = rng.nextBounded(100);
+        if (dice < 60 && !live.empty()) {
+            // Skewed: a few hot segments build backlogs over the limit.
+            size_t pick = rng.nextBounded(4) == 0 ? rng.nextBounded(live.size())
+                                                  : rng.nextBounded(std::min<size_t>(8, live.size()));
+            c->append(live[pick], payload(std::string(1 + rng.nextBounded(4096), 'x')), 0, -1, 1);
+        } else if (dice < 90) {
+            exec.runFor(sim::msec(1 + static_cast<int64_t>(rng.nextBounded(20))));
+        } else if (dice < 95) {
+            flaky.startOutage(sim::msec(10 + static_cast<int64_t>(rng.nextBounded(200))));
+        } else if (dice < 97 && live.size() > 1) {
+            size_t pick = rng.nextBounded(live.size());
+            c->deleteSegment(live[pick]);
+            live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+        } else {
+            flaky.endOutage();
+        }
+        check(step);
+        if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(flaky.injectedFailures(), 0u);
+    EXPECT_GT(throttledChecks, 0u);
+    EXPECT_GT(frontierChecks, 0u);
+
+    // Failed flushes kept their queues: once LTS is back everything drains
+    // and every surviving segment is durable to its full length.
+    flaky.endOutage();
+    exec.runFor(sim::sec(2));
+    check(-1);
+    EXPECT_EQ(sw.pendingBytes(), 0u);
+    EXPECT_EQ(sw.flushedWalSequence(), c->lastAppliedSequence());
+    for (SegmentId seg : live) {
+        auto info = c->getInfo(seg).value();
+        EXPECT_EQ(info.storageLength, info.length) << seg;
+    }
 }
 
 }  // namespace
