@@ -1,7 +1,7 @@
 // Micro-benchmarks for the core data structures (the Fig 4 block cache, the
 // AVL read index, serialization, the obs:: latency histogram) plus a
-// deterministic virtual-time core scenario, the LTS codec kernel row and the
-// segment-count scaling row of one container.
+// deterministic virtual-time core scenario, the LTS codec kernel row, the
+// LTS chunk-fill row and the segment-count scaling row of one container.
 //
 // The scenario runs first and emits BENCH_micro_core.json through
 // bench::Report: every value in it derives from virtual time and seeded
@@ -184,8 +184,9 @@ void addCodecRow(pravega::bench::Report& report) {
     uint32_t crc = 0;
     size_t stored = 0;
     const double crcSec = bestOf3([&] { crc = crc32(payload.data(), payload.size()); });
+    Bytes scratch;
     const double encodeSec = bestOf3(
-        [&] { stored = lts::ChunkCodec::encodeBlock(BytesView(payload)).size(); });
+        [&] { stored = lts::ChunkCodec::encodeBlock(BytesView(payload), scratch).size(); });
     const double mb = static_cast<double>(kBytes) / (1 << 20);
     report.section("codec: LTS block CRC-32 + RLE encode kernels");
     report.addCustom("codec",
@@ -194,6 +195,43 @@ void addCodecRow(pravega::bench::Report& report) {
                       {"stored_bytes", static_cast<double>(stored)},
                       {"crc32", static_cast<double>(crc)}},
                      nullptr, "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic");
+}
+
+/// Fills one fresh InMemoryChunkStorage chunk to `bytes` in 4 KB appends
+/// of two 2 KB fragments (the storage writer's aggregate shape); returns
+/// the stored byte count.
+uint64_t fillChunk(size_t bytes) {
+    constexpr size_t kAppend = 4096;
+    const SharedBuf payload{Bytes(kAppend, 0x6C)};
+    lts::InMemoryChunkStorage store;
+    store.create("chunk");
+    for (size_t filled = 0; filled < bytes; filled += kAppend) {
+        BufChain chain(payload.slice(0, kAppend / 2));
+        chain.append(payload.slice(kAppend / 2, kAppend / 2));
+        store.append("chunk", std::move(chain));
+    }
+    return store.totalBytes();
+}
+
+/// LTS append row: wall ns per byte to fill a 256 KB and a 4 MB chunk
+/// (best of 3 each) and their ratio. A store that copies the whole chunk
+/// on every append costs O(chunk) per byte, a ratio near 16; an
+/// append-only one stays near 1.
+void addLtsAppendRow(pravega::bench::Report& report) {
+    constexpr size_t kSmall = 256u << 10;
+    constexpr size_t kLarge = 4u << 20;
+    uint64_t stored = 0;
+    const double smallSec = bestOf3([&] { fillChunk(kSmall); });
+    const double largeSec = bestOf3([&] { stored = fillChunk(kLarge); });
+    const double smallNs = smallSec * 1e9 / kSmall;
+    const double largeNs = largeSec * 1e9 / kLarge;
+    report.section("lts append: fill one in-memory chunk in 4 KB two-fragment appends");
+    report.addCustom("lts-append",
+                     {{"stored_bytes", static_cast<double>(stored)},
+                      {"ns_per_byte_256kb", smallNs},
+                      {"ns_per_byte_4mb", largeNs},
+                      {"lts_append_ratio", smallNs > 0 ? largeNs / smallNs : 0.0}},
+                     nullptr, "ns columns and the ratio are wall-clock; stored_bytes is deterministic");
 }
 
 /// One container ingesting the same appends spread over `segments` segments.
@@ -376,6 +414,7 @@ void runDeterministicScenario() {
          {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents}},
         nullptr, "events/sec is wall-clock; copy columns are deterministic");
     addCodecRow(report);
+    addLtsAppendRow(report);
     addSegmentScalingRow(report);
     report.finish();
 

@@ -224,10 +224,11 @@ diff "${OUT_DIR}/BENCH_fig13_autoscaling.json" "${FLEET_B}/BENCH_fig13_autoscali
   || { echo "fig13 JSON differs between same-seed runs" >&2; exit 1; }
 echo "fig13 determinism OK: fleet sweep byte-identical across runs"
 
-echo "== perf gate: engine events/sec, codec MB/s, segment scaling vs committed baseline =="
-# The copy budget and the codec row's stored size and CRC are deterministic
-# and always enforced. The events/sec and codec MB/s floors are wall-clock
-# and only meaningful on an unsanitized build on the reference container;
+echo "== perf gate: events/sec, codec MB/s, segment scaling, LTS append vs baseline =="
+# The copy budget, the codec row's stored size and CRC, and the lts-append
+# row's stored bytes are deterministic and always enforced. The events/sec
+# and codec MB/s floors are wall-clock and only meaningful on an
+# unsanitized build on the reference container;
 # BENCH_PERF_GATE=0 skips them (scripts/check.sh sets this for the ASan/UBSan
 # suites, where the engine legitimately runs 3-8x slower).
 python3 - "${DET_A}/BENCH_micro_core.json" bench/baselines/BENCH_micro_core_baseline.json \
@@ -249,6 +250,10 @@ for col, key in (("stored_bytes", "codec_stored_bytes"), ("crc32", "codec_crc32"
     assert got == want, (
         f"codec {col} changed: {got:.0f}, baseline {want:.0f} "
         f"(the stored block format and CRC values are frozen)")
+lts_append = next(r for r in cur["rows"] if r["series"] == "lts-append")["values"]
+assert lts_append["stored_bytes"] == base["values"]["lts_append_stored_bytes"], (
+    f'lts-append stored {lts_append["stored_bytes"]:.0f} bytes, '
+    f'baseline {base["values"]["lts_append_stored_bytes"]:.0f}')
 if gate_rate:
     floors = (("events_per_sec", row["values"]["events_per_sec"], "DES engine", "events/s"),
               ("codec_crc32_mbps", codec["crc32_mbps"], "codec crc32", "MB/s"),
@@ -261,14 +266,17 @@ if gate_rate:
             f"{base['values'][key]:,.0f}); set BENCH_PERF_GATE=0 to bypass")
         print(f"perf gate OK: {what} {got:,.0f} {unit} >= {floor:,.0f}")
     scaling = next(r for r in cur["rows"] if r["series"] == "segment-scaling")["values"]
-    ratio = scaling["segment_scaling_ratio"]
-    ceiling = base["values"]["segment_scaling_ratio"] / base["gate_fraction"]
-    assert ratio <= ceiling, (
-        f"segment scaling regressed: ns per append at 4096 segments is {ratio:.2f}x "
-        f"that at 16 > gate {ceiling:.2f}x (committed ceiling "
-        f"{base['values']['segment_scaling_ratio']:.2f} / {base['gate_fraction']}); "
-        f"set BENCH_PERF_GATE=0 to bypass")
-    print(f"perf gate OK: segment scaling {ratio:.2f}x <= {ceiling:.2f}x")
+    ceilings = (("segment_scaling_ratio", scaling["segment_scaling_ratio"],
+                 "segment scaling: ns per append at 4096 segments over that at 16"),
+                ("lts_append_ratio", lts_append["lts_append_ratio"],
+                 "lts append: ns per byte to fill a 4 MB chunk over a 256 KB one"))
+    for key, ratio, what in ceilings:
+        ceiling = base["values"][key] / base["gate_fraction"]
+        assert ratio <= ceiling, (
+            f"{what} is {ratio:.2f}x > gate {ceiling:.2f}x (committed ceiling "
+            f"{base['values'][key]:.2f} / {base['gate_fraction']}); "
+            f"set BENCH_PERF_GATE=0 to bypass")
+        print(f"perf gate OK: {what} {ratio:.2f}x <= {ceiling:.2f}x")
     print(f"copy budget {copied} B/event and codec output unchanged")
 else:
     print(f"perf gate: rate floors SKIPPED (BENCH_PERF_GATE=0); "

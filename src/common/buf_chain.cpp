@@ -18,7 +18,8 @@ void BufChain::append(BufChain other) {
         frags_ = std::move(other.frags_);
         return;
     }
-    frags_.reserve(frags_.size() + other.frags_.size());
+    // No exact reserve here: it would reallocate on every call, making a
+    // loop of chain appends quadratic; push_back grows geometrically.
     for (auto& f : other.frags_) frags_.push_back(std::move(f));
 }
 

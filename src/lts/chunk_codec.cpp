@@ -120,34 +120,29 @@ Result<Bytes> ChunkCodec::rleDecode(BytesView enc, size_t rawLen) {
     return out;
 }
 
-Bytes ChunkCodec::encodeBlock(BytesView raw) {
-    // The body is encoded in place after a reserved header, which is
-    // patched once the body length and method are known.
-    Bytes out(kHeaderBytes + rleBound(raw.size()));
-    size_t bodyLen = rleEncodeInto(raw, out.data() + kHeaderBytes);
+Bytes ChunkCodec::encodeBlock(BytesView raw, Bytes& scratch) {
+    const size_t bound = rleBound(raw.size());
+    if (scratch.size() < bound) scratch.resize(bound);
+    BytesView body(scratch.data(), rleEncodeInto(raw, scratch.data()));
     uint8_t method = kRle;
-    if (bodyLen >= raw.size()) {
+    if (body.size() >= raw.size()) {
         // Incompressible: store verbatim so a block never expands past the
         // fixed header overhead.
-        if (!raw.empty()) std::memcpy(out.data() + kHeaderBytes, raw.data(), raw.size());
-        bodyLen = raw.size();
+        body = raw;
         method = kRaw;
     }
-    // Exact size: the backend keeps this allocation for the chunk's life.
-    out.resize(kHeaderBytes + bodyLen);
-    out.shrink_to_fit();
-
-    Bytes header;
-    header.reserve(kHeaderBytes);
-    BinaryWriter w(header);
+    // Exact size: the backend adopts this allocation for the chunk's life.
+    Bytes out;
+    out.reserve(kHeaderBytes + body.size());
+    BinaryWriter w(out);
     w.u32(kMagic);
     w.u8(kVersion);
     w.u8(method);
     w.u16(0);  // reserved
     w.u32(static_cast<uint32_t>(raw.size()));
-    w.u32(static_cast<uint32_t>(bodyLen));
+    w.u32(static_cast<uint32_t>(body.size()));
     w.u32(crc32(raw.data(), raw.size()));
-    std::copy(header.begin(), header.end(), out.begin());
+    w.raw(body);
     return out;
 }
 
@@ -228,9 +223,11 @@ Future<Unit> CodecChunkStorage::append(const std::string& name, BufChain data) {
         // Chunk predates the codec (mixed stack): pass through untouched.
         return inner_.append(name, std::move(data));
     }
-    Bytes raw = data.toBytes();
-    const uint64_t rawLen = raw.size();
-    Bytes block = ChunkCodec::encodeBlock(BytesView(raw));
+    // Flatten into grow-only scratch (the same counted copy as toBytes()).
+    const uint64_t rawLen = data.size();
+    if (rawScratch_.size() < rawLen) rawScratch_.resize(rawLen);
+    data.copyOut(0, rawLen, rawScratch_.data());
+    Bytes block = ChunkCodec::encodeBlock(BytesView(rawScratch_.data(), rawLen), encodeScratch_);
     const uint64_t storedLen = block.size();
 
     sim::Promise<Unit> p;
@@ -300,8 +297,12 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
                 return;
             }
             BytesView stored = r.value().view();
+            // One covering block is handed out as a slice of its decoded
+            // bytes; several are gathered into `out`.
+            const bool single = cover.size() == 1;
+            SharedBuf result;
             Bytes out;
-            out.reserve(static_cast<size_t>(n));
+            if (!single) out.reserve(static_cast<size_t>(n));
             uint64_t decodedRaw = 0;
             for (const Block& b : cover) {
                 uint64_t at = b.storedOff - storedStart;
@@ -321,13 +322,18 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
                 decodedRaw += b.rawLen;
                 uint64_t from = offset > b.rawOff ? offset - b.rawOff : 0;
                 uint64_t to = std::min<uint64_t>(b.rawLen, offset + n - b.rawOff);
-                pravega::append(out, BytesView(dec.value().data() + from,
-                                               static_cast<size_t>(to - from)));
+                if (single) {
+                    result = SharedBuf(std::move(dec.value()))
+                                 .slice(static_cast<size_t>(from), static_cast<size_t>(to - from));
+                } else {
+                    pravega::append(out, BytesView(dec.value().data() + from,
+                                                   static_cast<size_t>(to - from)));
+                }
             }
+            if (!single) result = SharedBuf(std::move(out));
             mDecodeNs_.record(exec_.now() - startedAt);
             // Decompression charges CPU for every decoded block byte — the
             // read amplification cost of block-granular compression.
-            SharedBuf result{std::move(out)};
             cpu_.executeFor(sim::transferTime(decodedRaw, cfg_.decompressBytesPerSec))
                 .onComplete([p, result](const Result<Unit>&) mutable { p.setValue(result); });
         });

@@ -66,8 +66,11 @@ struct ChunkCodec {
     static Result<Bytes> rleDecode(BytesView enc, size_t rawLen);
 
     /// Encodes one append into header + body (RLE, or raw fallback when RLE
-    /// would not shrink the payload).
-    static Bytes encodeBlock(BytesView raw);
+    /// would not shrink the payload). The body is encoded into `scratch`,
+    /// which only ever grows, so a caller that keeps it pays no allocation
+    /// or zero-fill per block; the returned block is one exact-size
+    /// allocation that a store can adopt without copying.
+    static Bytes encodeBlock(BytesView raw, Bytes& scratch);
     /// Parses a header at the front of `stored`. Fails on bad magic/version
     /// or lengths inconsistent with the available bytes.
     static Result<BlockHeader> parseHeader(BytesView stored);
@@ -126,6 +129,8 @@ private:
     Config cfg_;
     sim::CpuModel cpu_;
     std::map<std::string, ChunkIndex> chunks_;
+    Bytes rawScratch_;     // grow-only: the flattened append
+    Bytes encodeScratch_;  // grow-only: the RLE body before it is sized
     uint64_t rawBytes_ = 0;
     uint64_t storedBytes_ = 0;
 

@@ -1,5 +1,6 @@
 #include "lts/chunk_storage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -28,9 +29,21 @@ Future<Unit> InMemoryChunkStorage::create(const std::string& name) {
 Future<Unit> InMemoryChunkStorage::append(const std::string& name, BufChain data) {
     auto it = chunks_.find(name);
     if (it == chunks_.end()) return fail(Err::NotFound, "no such chunk");
-    it->second.reserve(it->second.size() + data.size());
-    data.forEachFragment(
-        [&](const SharedBuf& frag) { pravega::append(it->second, frag.view()); });
+    if (data.empty()) return okUnit();
+    Chunk& chunk = it->second;
+    const auto& frags = data.fragments();
+    SharedBuf extent;
+    if (frags.size() == 1 && frags[0].spansStorage()) {
+        extent = frags[0];
+    } else {
+        Bytes copy;
+        copy.reserve(data.size());
+        data.forEachFragment([&](const SharedBuf& frag) { pravega::append(copy, frag.view()); });
+        extent = SharedBuf(std::move(copy));
+    }
+    chunk.starts.push_back(chunk.size);
+    chunk.extents.push_back(std::move(extent));
+    chunk.size += data.size();
     totalBytes_ += data.size();
     return okUnit();
 }
@@ -40,17 +53,31 @@ Future<SharedBuf> InMemoryChunkStorage::read(const std::string& name, uint64_t o
     ++readOps_;
     auto it = chunks_.find(name);
     if (it == chunks_.end()) return Future<SharedBuf>::failed(Status(Err::NotFound, name));
-    const Bytes& b = it->second;
-    if (offset > b.size()) return Future<SharedBuf>::failed(Status(Err::BadOffset, name));
-    uint64_t n = std::min<uint64_t>(length, b.size() - offset);
-    return Future<SharedBuf>::ready(
-        SharedBuf::copyOf(BytesView(b.data() + offset, static_cast<size_t>(n))));
+    const Chunk& chunk = it->second;
+    if (offset > chunk.size) return Future<SharedBuf>::failed(Status(Err::BadOffset, name));
+    const uint64_t n = std::min<uint64_t>(length, chunk.size - offset);
+    if (n == 0) return Future<SharedBuf>::ready(SharedBuf());
+    // The extent holding `offset`: the last one starting at or before it.
+    size_t i = static_cast<size_t>(
+        std::upper_bound(chunk.starts.begin(), chunk.starts.end(), offset) -
+        chunk.starts.begin() - 1);
+    size_t skip = static_cast<size_t>(offset - chunk.starts[i]);
+    if (skip + n <= chunk.extents[i].size()) {
+        return Future<SharedBuf>::ready(chunk.extents[i].slice(skip, static_cast<size_t>(n)));
+    }
+    Bytes out;
+    out.reserve(static_cast<size_t>(n));
+    for (; out.size() < n; ++i, skip = 0) {
+        BytesView ext = chunk.extents[i].view().subspan(skip);
+        pravega::append(out, ext.first(std::min<size_t>(ext.size(), n - out.size())));
+    }
+    return Future<SharedBuf>::ready(SharedBuf(std::move(out)));
 }
 
 Future<Unit> InMemoryChunkStorage::remove(const std::string& name) {
     auto it = chunks_.find(name);
     if (it == chunks_.end()) return fail(Err::NotFound, "no such chunk");
-    totalBytes_ -= it->second.size();
+    totalBytes_ -= it->second.size;
     chunks_.erase(it);
     return okUnit();
 }
@@ -58,7 +85,7 @@ Future<Unit> InMemoryChunkStorage::remove(const std::string& name) {
 Result<ChunkInfo> InMemoryChunkStorage::stat(const std::string& name) const {
     auto it = chunks_.find(name);
     if (it == chunks_.end()) return Status(Err::NotFound, name);
-    return ChunkInfo{name, it->second.size()};
+    return ChunkInfo{name, it->second.size};
 }
 
 // ------------------------------------------------------- SimulatedObject

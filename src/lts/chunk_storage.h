@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/buf_chain.h"
 #include "common/bytes.h"
@@ -55,7 +56,16 @@ public:
 };
 
 /// In-memory backend: exact data semantics, no timing model. The reference
-/// backend for unit tests.
+/// backend for unit tests, and the data plane under SimulatedObjectStorage
+/// and the archive tier.
+///
+/// A chunk is an append-only list of immutable extents, one per append, so
+/// filling a chunk costs O(bytes) however many appends it takes. An append
+/// copies its chain once into an exact-size extent (the terminal media
+/// write, outside bufstats), or adopts a one-fragment chain that spans its
+/// whole buffer (a codec block) with no copy; a partial slice is never
+/// adopted, since it would pin the larger buffer behind it. A read inside
+/// one extent returns a slice of it; a read across extents is gathered once.
 class InMemoryChunkStorage : public ChunkStorage {
 public:
     sim::Future<sim::Unit> create(const std::string& name) override;
@@ -68,7 +78,13 @@ public:
     uint64_t readOps() const override { return readOps_; }
 
 private:
-    std::map<std::string, Bytes> chunks_;
+    struct Chunk {
+        std::vector<SharedBuf> extents;
+        std::vector<uint64_t> starts;  // chunk offset of each extent, ascending
+        uint64_t size = 0;
+    };
+
+    std::map<std::string, Chunk> chunks_;
     uint64_t totalBytes_ = 0;
     uint64_t readOps_ = 0;
 };

@@ -211,11 +211,12 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
 
     // Aggregate pending appends into one contiguous write (§4.3: "it
     // buffers small appends into larger writes to LTS"). The aggregate is a
-    // fragment chain over the queued payloads — no bytes move here; the
-    // terminal media write inside the chunk backend is the only copy.
-    // Entries stay in the queue until the flush succeeds so
-    // flushedWalSequence() cannot advance (and truncate the WAL) past data
-    // not yet durable in LTS.
+    // fragment chain over the queued payloads — no bytes move here. The
+    // chunk backend copies it once into an extent of its own (or, codec on,
+    // encodes it into one block it adopts), so each byte is copied once
+    // however many appends fill the chunk (DESIGN.md §11). Entries stay in
+    // the queue until the flush succeeds so flushedWalSequence() cannot
+    // advance (and truncate the WAL) past data not yet durable in LTS.
     BufChain agg;
     size_t flushCount = 0;
     uint64_t flushBytes = 0;

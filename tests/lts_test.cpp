@@ -130,6 +130,101 @@ INSTANTIATE_TEST_SUITE_P(Backends, ChunkStorageSemantics,
                          ::testing::Values(Backend::InMemory, Backend::Simulated,
                                            Backend::NoOp));
 
+// ----------------------------------------------------- extent-store tests
+
+/// Bytes 0..n-1 of a fixed pattern, so any misplaced byte shows.
+Bytes pattern(size_t from, size_t n) {
+    Bytes out(n);
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>((from + i) * 7 + 3);
+    return out;
+}
+
+/// A chunk of three extents: [0,100) [100,150) [150,400), the middle one
+/// appended as a two-fragment chain.
+class ExtentStoreTest : public ::testing::Test {
+protected:
+    void SetUp() override {
+        waitStatus(exec_, mem_.create("c"));
+        waitStatus(exec_, mem_.append("c", BufChain(pattern(0, 100))));
+        BufChain two(pattern(100, 20));
+        two.append(pattern(120, 30));
+        waitStatus(exec_, mem_.append("c", std::move(two)));
+        waitStatus(exec_, mem_.append("c", BufChain(pattern(150, 250))));
+    }
+    void expectRead(uint64_t offset, uint64_t length, size_t want) {
+        SCOPED_TRACE("read at " + std::to_string(offset) + " for " + std::to_string(length));
+        auto got = waitValue(exec_, mem_.read("c", offset, length));
+        ASSERT_EQ(got.size(), want);
+        EXPECT_EQ(Bytes(got.view().begin(), got.view().end()),
+                  pattern(static_cast<size_t>(offset), want));
+    }
+
+    sim::Machine exec_;
+    InMemoryChunkStorage mem_;
+};
+
+TEST_F(ExtentStoreTest, ReadsInsideOneExtent) {
+    expectRead(10, 50, 50);
+    expectRead(110, 30, 30);  // inside the two-fragment append
+    expectRead(200, 100, 100);
+}
+
+TEST_F(ExtentStoreTest, ReadsAcrossExtents) {
+    expectRead(90, 20, 20);    // two extents
+    expectRead(90, 100, 100);  // three extents
+    expectRead(0, 400, 400);   // the whole chunk
+    expectRead(0, 10000, 400);
+}
+
+TEST_F(ExtentStoreTest, ReadsOnExtentBoundaries) {
+    expectRead(100, 50, 50);   // exactly the middle extent
+    expectRead(0, 100, 100);   // ends exactly on a boundary
+    expectRead(100, 51, 51);   // starts on a boundary, crosses the next
+    expectRead(150, 250, 250); // starts on the last boundary, ends at EOF
+    expectRead(149, 1, 1);
+    expectRead(150, 1, 1);
+}
+
+TEST_F(ExtentStoreTest, EofAndPastTheEnd) {
+    expectRead(400, 10, 0);
+    expectRead(400, 0, 0);
+    expectRead(20, 0, 0);
+    EXPECT_EQ(waitResult(exec_, mem_.read("c", 401, 1)).code(), Err::BadOffset);
+}
+
+TEST_F(ExtentStoreTest, SliceOutlivesRemove) {
+    auto inside = waitValue(exec_, mem_.read("c", 160, 40));
+    auto across = waitValue(exec_, mem_.read("c", 50, 100));
+    EXPECT_TRUE(waitStatus(exec_, mem_.remove("c")).isOk());
+    EXPECT_EQ(mem_.totalBytes(), 0u);
+    EXPECT_EQ(Bytes(inside.view().begin(), inside.view().end()), pattern(160, 40));
+    EXPECT_EQ(Bytes(across.view().begin(), across.view().end()), pattern(50, 100));
+}
+
+TEST_F(ExtentStoreTest, AppendCopiesOutsideBufstats) {
+    // The store's one media copy is a terminal write, not a buffer-layer
+    // copy (common/buf_stats.h); reads hand out slices or one gather.
+    bufstats::reset();
+    waitStatus(exec_, mem_.append("c", BufChain(pattern(399, 64)).share(1, 62)));
+    waitValue(exec_, mem_.read("c", 0, 463));
+    EXPECT_EQ(bufstats::bytesCopied, 0u);
+    EXPECT_EQ(bufstats::copyOps, 0u);
+    expectRead(399, 64, 63);
+}
+
+TEST_F(ExtentStoreTest, AdoptsOnlyWholeBuffers) {
+    // A one-fragment chain spanning its whole buffer becomes the extent; a
+    // partial slice is copied, so the store never pins the rest of it.
+    const SharedBuf whole(pattern(400, 64));
+    waitStatus(exec_, mem_.append("c", whole));
+    EXPECT_EQ(waitValue(exec_, mem_.read("c", 400, 64)).data(), whole.data());
+    const SharedBuf backing(pattern(463, 66));
+    waitStatus(exec_, mem_.append("c", backing.slice(1, 64)));
+    auto copied = waitValue(exec_, mem_.read("c", 464, 64));
+    EXPECT_NE(copied.data(), backing.data() + 1);
+    EXPECT_EQ(Bytes(copied.view().begin(), copied.view().end()), pattern(464, 64));
+}
+
 TEST(SimulatedObjectStorageTest, TransfersTakeModelTime) {
     sim::Machine exec;
     sim::ObjectStoreModel::Config cfg;
@@ -199,8 +294,9 @@ TEST(SimulatedObjectStorageTest, TailReadChargesActualBytesNotRequested) {
 // ------------------------------------------------------------ codec tests
 
 TEST(ChunkCodecTest, BlockRoundTripAndRawFallback) {
+    Bytes scratch;
     Bytes zeros(4096, 0);  // highly compressible
-    Bytes block = ChunkCodec::encodeBlock(BytesView(zeros));
+    Bytes block = ChunkCodec::encodeBlock(BytesView(zeros), scratch);
     EXPECT_LT(block.size(), zeros.size() / 4);
     auto dec = ChunkCodec::decodeBlock(BytesView(block));
     ASSERT_TRUE(dec.isOk());
@@ -208,7 +304,7 @@ TEST(ChunkCodecTest, BlockRoundTripAndRawFallback) {
 
     Bytes noise(1024);  // incompressible: every byte distinct from neighbors
     for (size_t i = 0; i < noise.size(); ++i) noise[i] = static_cast<uint8_t>(i * 131 + 7);
-    Bytes rawBlock = ChunkCodec::encodeBlock(BytesView(noise));
+    Bytes rawBlock = ChunkCodec::encodeBlock(BytesView(noise), scratch);
     EXPECT_EQ(rawBlock.size(), noise.size() + ChunkCodec::kHeaderBytes);
     auto rawDec = ChunkCodec::decodeBlock(BytesView(rawBlock));
     ASSERT_TRUE(rawDec.isOk());
@@ -218,7 +314,8 @@ TEST(ChunkCodecTest, BlockRoundTripAndRawFallback) {
 TEST(ChunkCodecTest, CorruptionNeverDecodes) {
     Bytes payload(512, 'x');
     payload[100] = 'y';
-    Bytes block = ChunkCodec::encodeBlock(BytesView(payload));
+    Bytes scratch;
+    Bytes block = ChunkCodec::encodeBlock(BytesView(payload), scratch);
     // Flip one bit at every position in turn: header, lengths, CRC, body —
     // every single-bit corruption must surface as ChecksumMismatch.
     for (size_t byte = 0; byte < block.size(); byte += 7) {
@@ -329,6 +426,39 @@ TEST(ChunkCodecTest, RleBoundIsTightForRunFreeInput) {
     }
 }
 
+TEST(ChunkCodecTest, EncodeBlockMatchesGoldenHashes) {
+    // The stored block format is frozen: these FNV-1a hashes of
+    // encodeBlock's output were captured from the encoder that allocated a
+    // fresh zero-filled buffer per block, and must never move. One scratch
+    // serves all three, largest first, so bytes an earlier block left in
+    // it cannot leak into a later one.
+    Bytes compressible(64 * 1024);
+    Bytes noise(64 * 1024);
+    sim::Rng rng(17);
+    for (size_t i = 0; i < compressible.size(); i += 128) {
+        for (size_t k = 0; k < 64; ++k) compressible[i + k] = static_cast<uint8_t>(rng.next());
+        std::fill_n(compressible.begin() + static_cast<ptrdiff_t>(i + 64), 64,
+                    static_cast<uint8_t>(rng.next()));
+    }
+    for (auto& b : noise) b = static_cast<uint8_t>(rng.next());
+    auto hash = [](const Bytes& b) {
+        return fnv1a64(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+    };
+    Bytes scratch;
+    const Bytes noiseBlock = ChunkCodec::encodeBlock(BytesView(noise), scratch);
+    EXPECT_EQ(noiseBlock.size(), 65556u);
+    EXPECT_EQ(hash(noiseBlock), 0xf712b5841224cc4dULL);
+    const Bytes packed = ChunkCodec::encodeBlock(BytesView(compressible), scratch);
+    EXPECT_EQ(packed.size(), 34319u);
+    EXPECT_EQ(hash(packed), 0x0e687ed2cee19a04ULL);
+    const Bytes empty = ChunkCodec::encodeBlock(BytesView(), scratch);
+    EXPECT_EQ(empty.size(), ChunkCodec::kHeaderBytes);
+    EXPECT_EQ(hash(empty), 0x74154fb777b43f57ULL);
+    // Exact-size blocks: a store adopting one pins no spare capacity.
+    EXPECT_EQ(packed.capacity(), packed.size());
+    EXPECT_EQ(noiseBlock.capacity(), noiseBlock.size());
+}
+
 class CodecStorageTest : public ::testing::Test {
 protected:
     sim::Machine exec_;
@@ -356,6 +486,35 @@ TEST_F(CodecStorageTest, RoundTripWithCompression) {
     EXPECT_EQ(codec_.stat("c").value().length, a.size() + b.size());
     EXPECT_LT(mem_.totalBytes(), (a.size() + b.size()) / 4);
     EXPECT_GT(codec_.rawBytes(), codec_.storedBytes());
+    EXPECT_EQ(codec_.checksumFailures(), 0u);
+}
+
+TEST_F(CodecStorageTest, MultiExtentChunkReadsBackIdentically) {
+    // Each append is one block, adopted whole as one extent of the backing
+    // chunk; reads inside a block are slices, reads across blocks gather.
+    waitStatus(exec_, codec_.create("c"));
+    Bytes all;
+    for (size_t i = 0; i < 5; ++i) {
+        Bytes part = pattern(all.size(), 1000 + 300 * i);
+        std::fill_n(part.begin(), 200, static_cast<uint8_t>(i));  // a run to compress
+        BufChain chain(Bytes(part.begin(), part.begin() + 500));
+        chain.append(Bytes(part.begin() + 500, part.end()));
+        waitStatus(exec_, codec_.append("c", std::move(chain)));
+        pravega::append(all, BytesView(part));
+    }
+    EXPECT_LT(mem_.totalBytes(), all.size());
+    for (auto [offset, length] : {std::pair<size_t, size_t>{0, all.size()},
+                                  {10, 900},
+                                  {1000, 1300},
+                                  {950, 2000},
+                                  {all.size() - 5, 100}}) {
+        auto got = waitValue(exec_, codec_.read("c", offset, length));
+        const size_t want = std::min(length, all.size() - offset);
+        ASSERT_EQ(got.size(), want) << "offset " << offset;
+        EXPECT_TRUE(std::equal(got.view().begin(), got.view().end(),
+                               all.begin() + static_cast<ptrdiff_t>(offset)))
+            << "offset " << offset;
+    }
     EXPECT_EQ(codec_.checksumFailures(), 0u);
 }
 
@@ -567,6 +726,28 @@ TEST_F(ArchiveTierTest, SegmentChunksShareACartridge) {
     }
     // Same cartridge stays mounted across all three reads.
     EXPECT_EQ(archive_.tape().mounts(), mountsAfterMigration);
+}
+
+TEST_F(ArchiveTierTest, MultiExtentChunkMigratesByteIdentical) {
+    // Migration reads the whole primary chunk (a gather across its extents)
+    // and stores it on tape as one extent.
+    Bytes all;
+    waitStatus(exec_, archive_.create("seg-8-0"));
+    for (size_t i = 0; i < 4; ++i) {
+        Bytes part = pattern(all.size(), 700 + 100 * i);
+        waitStatus(exec_, archive_.append("seg-8-0", BufChain(Bytes(part))));
+        pravega::append(all, BytesView(part));
+    }
+    exec_.runFor(sim::sec(2));
+    archive_.scanNow();
+    exec_.runUntilIdle();
+    ASSERT_EQ(archive_.archivedChunks(), 1u);
+    EXPECT_EQ(mem_.stat("seg-8-0").code(), Err::NotFound);
+    auto whole = waitValue(exec_, archive_.read("seg-8-0", 0, all.size()));
+    EXPECT_EQ(Bytes(whole.view().begin(), whole.view().end()), all);
+    auto mid = waitValue(exec_, archive_.read("seg-8-0", 650, 900));
+    EXPECT_TRUE(std::equal(mid.view().begin(), mid.view().end(), all.begin() + 650));
+    EXPECT_EQ(mid.size(), 900u);
 }
 
 TEST(ArchiveCodecStackTest, CompressedChunksMigrateAndVerify) {
