@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <new>
 
 #include "bench/harness/adapters.h"
 #include "bench/harness/report.h"
@@ -33,6 +34,22 @@
 
 using namespace pravega;
 using namespace pravega::segmentstore;
+
+// Counting replacement of the global operator new: the engine row reports
+// heap allocations per client event of the core scenario. The array and
+// nothrow forms call these; the aligned forms are not counted.
+namespace {
+uint64_t gHeapAllocs = 0;
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined new with free().
+__attribute__((noinline)) void* operator new(std::size_t n) {
+    ++gHeapAllocs;
+    if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+    throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -340,6 +357,7 @@ struct Replay {
     uint64_t desEvents = 0;
     uint64_t bytesCopied = 0;
     uint64_t copyOps = 0;
+    uint64_t heapAllocs = 0;
     double wallSec = 0;
 };
 
@@ -362,11 +380,13 @@ Replay replayScenario() {
     bufstats::reset();
     sim::Machine& exec = r.world->exec();
     const uint64_t eventsBefore = exec.executedEvents();
+    const uint64_t allocsBefore = gHeapAllocs;
     const auto wallStart = std::chrono::steady_clock::now();
     r.stats = runOpenLoop(exec, r.world->producers, w);
     exec.runFor(sim::msec(200));  // drain tail deliveries
     r.wallSec = std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
     r.desEvents = exec.executedEvents() - eventsBefore;
+    r.heapAllocs = gHeapAllocs - allocsBefore;
     r.bytesCopied = bufstats::bytesCopied;
     r.copyOps = bufstats::copyOps;
     return r;
@@ -402,7 +422,8 @@ void runDeterministicScenario() {
     // (virtual-time deterministic). bytes_copied_per_event is the
     // buffer-abstraction bytes copied per CLIENT event: 1x the payload on
     // the append path (the framing copy) plus the read-side fetch+hand-out
-    // copies of the tail readers.
+    // copies of the tail readers. allocs_per_event is operator-new calls per
+    // client event over the same replay (deterministic for one build).
     report.section("engine: DES event loop + copy budget");
     const double desEvents = static_cast<double>(first.desEvents);
     const double clientEvents = static_cast<double>(first.stats.sent > 0 ? first.stats.sent : 1);
@@ -411,8 +432,9 @@ void runDeterministicScenario() {
         {{"events", desEvents},
          {"events_per_sec", wallSec > 0 ? desEvents / wallSec : 0.0},
          {"bytes_copied_per_event", static_cast<double>(first.bytesCopied) / clientEvents},
-         {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents}},
-        nullptr, "events/sec is wall-clock; copy columns are deterministic");
+         {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents},
+         {"allocs_per_event", static_cast<double>(first.heapAllocs) / clientEvents}},
+        nullptr, "events/sec is wall-clock; copy and alloc columns are deterministic");
     addCodecRow(report);
     addLtsAppendRow(report);
     addSegmentScalingRow(report);

@@ -224,9 +224,10 @@ diff "${OUT_DIR}/BENCH_fig13_autoscaling.json" "${FLEET_B}/BENCH_fig13_autoscali
   || { echo "fig13 JSON differs between same-seed runs" >&2; exit 1; }
 echo "fig13 determinism OK: fleet sweep byte-identical across runs"
 
-echo "== perf gate: events/sec, codec MB/s, segment scaling, LTS append vs baseline =="
-# The copy budget, the codec row's stored size and CRC, and the lts-append
-# row's stored bytes are deterministic and always enforced. The events/sec
+echo "== perf gate: events/sec, codec MB/s, segment scaling, LTS append, allocations vs baseline =="
+# The copy budget, the allocation ceiling, the codec row's stored size and
+# CRC, and the lts-append row's stored bytes are deterministic and always
+# enforced. The events/sec
 # and codec MB/s floors are wall-clock and only meaningful on an
 # unsanitized build on the reference container;
 # BENCH_PERF_GATE=0 skips them (scripts/check.sh sets this for the ASan/UBSan
@@ -254,6 +255,10 @@ lts_append = next(r for r in cur["rows"] if r["series"] == "lts-append")["values
 assert lts_append["stored_bytes"] == base["values"]["lts_append_stored_bytes"], (
     f'lts-append stored {lts_append["stored_bytes"]:.0f} bytes, '
     f'baseline {base["values"]["lts_append_stored_bytes"]:.0f}')
+allocs = row["values"]["allocs_per_event"]
+assert allocs <= base["values"]["allocs_per_event"], (
+    f"heap allocations per client event rose to {allocs:.2f}, ceiling "
+    f'{base["values"]["allocs_per_event"]:.2f} (operator new calls over the core scenario)')
 if gate_rate:
     floors = (("events_per_sec", row["values"]["events_per_sec"], "DES engine", "events/s"),
               ("codec_crc32_mbps", codec["crc32_mbps"], "codec crc32", "MB/s"),
@@ -277,10 +282,10 @@ if gate_rate:
             f"{base['values'][key]:.2f} / {base['gate_fraction']}); "
             f"set BENCH_PERF_GATE=0 to bypass")
         print(f"perf gate OK: {what} {ratio:.2f}x <= {ceiling:.2f}x")
-    print(f"copy budget {copied} B/event and codec output unchanged")
+    print(f"copy budget {copied} B/event, {allocs:.2f} allocs/event, codec output unchanged")
 else:
     print(f"perf gate: rate floors SKIPPED (BENCH_PERF_GATE=0); "
-          f"copy budget {copied} B/event and codec output unchanged")
+          f"copy budget {copied} B/event, {allocs:.2f} allocs/event, codec output unchanged")
 PY
 
 echo "bench smoke OK (${ran} binaries, JSON valid, deterministic, perf-gated)"

@@ -167,7 +167,7 @@ private:
         /// Page-cache bytes not yet written to disk, per replica broker.
         std::map<int, uint64_t> dirtyByBroker;
         std::deque<BatchRecord> records;  // for consumer delivery/latency
-        std::vector<std::function<void()>> waiters;  // long-poll fetches
+        std::vector<sim::Core::Task> waiters;  // long-poll fetches
         bool hasConsumer = false;
     };
     struct Broker {

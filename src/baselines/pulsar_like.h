@@ -184,7 +184,7 @@ private:
         int64_t offloadedUpTo = 0;   // LTS holds [0, offloadedUpTo)
         uint64_t sinceRollover = 0;
         std::deque<BatchRecord> records;            // awaiting dispatch/consume
-        std::vector<std::function<void()>> waiters;  // tail consumers
+        std::vector<sim::Core::Task> waiters;  // tail consumers
         bool hasConsumer = false;
         int64_t consumerOffset = 0;
     };

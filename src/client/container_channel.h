@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -44,32 +46,21 @@ public:
     /// `op(store, container)` there and sends its result back (framing plus
     /// the data of a ReadResult, framing alone otherwise) to `done(result)`.
     /// Once `caller` is gone, `done` gets Cancelled and nothing further runs.
+    ///
+    /// The call's state lives in one allocation that each hop moves along,
+    /// so every hop's closure is a pointer and allocates nothing itself. A
+    /// hop the network drops frees the state. The result is moved, not
+    /// copied, from `op`'s future to `done` unless something else also reads
+    /// that future (`Future::consume`).
     template <typename T, typename Op, typename Done>
     void call(const sim::Lifetime& caller, uint64_t requestBytes, Op op, Done done) const {
         segmentstore::SegmentStore* store = owner();
         if (!store) return done(Result<T>(Err::ContainerOffline, "unassigned"));
-        net_->send(
-            clientHost_, store->host(), requestBytes + kWireOverheadBytes,
-            [net = net_, client = clientHost_, store, cid = containerId_, life = caller.token(),
-             op = std::move(op), done = std::move(done)]() mutable {
-                if (!life.alive()) return done(Result<T>(Err::Cancelled, "caller closed"));
-                auto reply = [net, client, from = store->host(), life = std::move(life),
-                              done = std::move(done)](const Result<T>& r) mutable {
-                    if (!life.alive()) return done(Result<T>(Err::Cancelled, "caller closed"));
-                    uint64_t bytes = kWireOverheadBytes;
-                    if constexpr (std::is_same_v<T, segmentstore::ReadResult>) {
-                        if (r.isOk()) bytes += r.value().data.size();
-                    }
-                    net->send(from, client, bytes, [life = std::move(life), done = std::move(done),
-                                                    r]() mutable {
-                        if (!life.alive()) return done(Result<T>(Err::Cancelled, "caller closed"));
-                        done(std::move(r));
-                    });
-                };
-                auto* container = store->container(cid);
-                if (!container) return reply(Result<T>(Err::ContainerOffline, "container moved"));
-                op(*store, *container).onComplete(std::move(reply));
-            });
+        std::unique_ptr<Call<T, Op, Done>> call(new Call<T, Op, Done>{
+            net_, clientHost_, store, store->host(), containerId_, caller.token(), std::move(op),
+            std::move(done), std::nullopt});
+        net_->send(clientHost_, store->host(), requestBytes + kWireOverheadBytes,
+                   [call = std::move(call)]() mutable { arrive(std::move(call)); });
     }
 
     /// For ops that cost store CPU: charges `bytes` on the container's core,
@@ -87,6 +78,49 @@ public:
     }
 
 private:
+    /// One in-flight call, from request to reply.
+    template <typename T, typename Op, typename Done>
+    struct Call {
+        sim::Network* net;
+        sim::HostId client;
+        segmentstore::SegmentStore* store;  // the owner the request went to
+        sim::HostId server;                 // its host, which sends the reply
+        uint32_t containerId;
+        sim::Lifetime::Token life;
+        Op op;
+        Done done;
+        std::optional<Result<T>> reply;
+    };
+
+    /// At the store: runs the op, then sends its result back.
+    template <typename T, typename Op, typename Done>
+    static void arrive(std::unique_ptr<Call<T, Op, Done>> call) {
+        if (!call->life.alive()) return call->done(Result<T>(Err::Cancelled, "caller closed"));
+        auto* container = call->store->container(call->containerId);
+        if (!container) {
+            return respond(std::move(call), Result<T>(Err::ContainerOffline, "container moved"));
+        }
+        auto& c = *call;
+        c.op(*c.store, *container).consume([call = std::move(call)](Result<T> r) mutable {
+            respond(std::move(call), std::move(r));
+        });
+    }
+
+    template <typename T, typename Op, typename Done>
+    static void respond(std::unique_ptr<Call<T, Op, Done>> call, Result<T> r) {
+        if (!call->life.alive()) return call->done(Result<T>(Err::Cancelled, "caller closed"));
+        uint64_t bytes = kWireOverheadBytes;
+        if constexpr (std::is_same_v<T, segmentstore::ReadResult>) {
+            if (r.isOk()) bytes += r.value().data.size();
+        }
+        call->reply.emplace(std::move(r));
+        auto& c = *call;
+        c.net->send(c.server, c.client, bytes, [call = std::move(call)]() mutable {
+            if (!call->life.alive()) return call->done(Result<T>(Err::Cancelled, "caller closed"));
+            call->done(std::move(*call->reply));
+        });
+    }
+
     sim::Network* net_;
     sim::HostId clientHost_;
     cluster::ContainerRegistry* registry_;

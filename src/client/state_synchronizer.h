@@ -76,7 +76,7 @@ public:
 
 private:
     // ---- per-instance operation serialization ----
-    void enqueue(std::function<void()> op) {
+    void enqueue(sim::Callback<void()> op) {
         pending_.push_back(std::move(op));
         pump();
     }
@@ -109,7 +109,7 @@ private:
     }
 
     /// Reads [offset_, tail) and applies it; `cb(status)` on completion.
-    void doFetch(std::function<void(Status)> cb) {
+    void doFetch(sim::Callback<void(Status)> cb) {
         // Peeking at the tail is modelled as free: no network hop.
         auto* container = channel_.container();
         if (!container) {
@@ -131,7 +131,8 @@ private:
                 segmentstore::SegmentStore&, segmentstore::SegmentContainer& c) {
                 return c.read(id, offset, want);
             },
-            life_.guard([this, cb = std::move(cb)](const Result<segmentstore::ReadResult>& r) {
+            life_.guard([this, cb = std::move(cb)](
+                            const Result<segmentstore::ReadResult>& r) mutable {
                 if (!r.isOk()) {
                     cb(r.status());
                     return;
@@ -189,7 +190,7 @@ private:
     State state_;
     int64_t offset_ = 0;
     bool busy_ = false;
-    std::deque<std::function<void()>> pending_;
+    std::deque<sim::Callback<void()>> pending_;
     sim::Lifetime life_;
 };
 

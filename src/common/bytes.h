@@ -9,13 +9,13 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/buf_stats.h"
+#include "common/counted.h"
 
 namespace pravega {
 
@@ -30,13 +30,14 @@ inline std::string toString(BytesView b) {
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
-/// Immutable, reference-counted buffer with O(1) sub-slicing.
+/// Immutable, reference-counted buffer with O(1) sub-slicing. The bytes sit
+/// behind a `Counted` handle: one allocation, a plain count.
 class SharedBuf {
 public:
     SharedBuf() = default;
 
     explicit SharedBuf(Bytes data)
-        : storage_(std::make_shared<const Bytes>(std::move(data))),
+        : storage_(Counted<const Bytes>::make(std::move(data))),
           offset_(0),
           size_(storage_->size()) {}
 
@@ -63,7 +64,7 @@ public:
     }
 
 private:
-    std::shared_ptr<const Bytes> storage_;
+    Counted<const Bytes> storage_;
     size_t offset_ = 0;
     size_t size_ = 0;
 };

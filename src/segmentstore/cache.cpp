@@ -66,7 +66,9 @@ Result<CacheAddress> BlockCache::allocBlock() {
     // Pre-allocate a contiguous buffer and chain all its blocks as free.
     uint32_t bufId = static_cast<uint32_t>(buffers_.size());
     Buffer buf;
-    buf.data = std::make_unique<uint8_t[]>(static_cast<size_t>(cfg_.blocksPerBuffer) * cfg_.blockSize);
+    // Left uninitialized: readers stop at each block's written `length`.
+    buf.data = std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(cfg_.blocksPerBuffer) *
+                                                         cfg_.blockSize);
     buf.blocks.resize(cfg_.blocksPerBuffer);
     for (uint32_t i = 0; i < cfg_.blocksPerBuffer; ++i) {
         buf.blocks[i].nextFree = (i + 1 < cfg_.blocksPerBuffer) ? i + 1 : UINT32_MAX;
@@ -193,50 +195,32 @@ Result<CacheAddress> BlockCache::append(CacheAddress address, BytesView data) {
 }
 
 Result<Bytes> BlockCache::get(CacheAddress address) const {
-    if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
-    // Walk the predecessor chain collecting blocks (last → first), then
-    // assemble in forward order.
-    std::vector<CacheAddress> chain;
-    for (CacheAddress a = address; a != kInvalidAddress; a = meta(a).prev) chain.push_back(a);
-
-    uint64_t total = 0;
-    for (CacheAddress a : chain) total += meta(a).length;
-
-    Bytes out;
-    out.reserve(static_cast<size_t>(total));
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        const BlockMeta& m = meta(*it);
-        const uint8_t* p = blockData(*it);
-        out.insert(out.end(), p, p + m.length);
-    }
-    return out;
+    return get(address, 0, UINT64_MAX);
 }
 
 Result<Bytes> BlockCache::get(CacheAddress address, uint64_t offset, uint64_t length) const {
     if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
-    std::vector<CacheAddress> chain;
-    for (CacheAddress a = address; a != kInvalidAddress; a = meta(a).prev) chain.push_back(a);
-
     uint64_t total = 0;
-    for (CacheAddress a : chain) total += meta(a).length;
+    for (CacheAddress a = address; a != kInvalidAddress; a = meta(a).prev) total += meta(a).length;
     if (offset > total) offset = total;
     length = std::min(length, total - offset);
 
-    Bytes out;
-    out.reserve(static_cast<size_t>(length));
-    uint64_t pos = 0;  // entry-relative offset of the current block's start
-    for (auto it = chain.rbegin(); it != chain.rend() && length > 0; ++it) {
-        const BlockMeta& m = meta(*it);
-        uint64_t end = pos + m.length;
-        if (end > offset) {
-            uint64_t from = offset > pos ? offset - pos : 0;
-            uint64_t n = std::min<uint64_t>(m.length - from, length);
-            const uint8_t* p = blockData(*it) + from;
-            out.insert(out.end(), p, p + n);
-            offset += n;
-            length -= n;
+    // Blocks link last → first, so fill the output back to front: each
+    // block covers [end - length, end) of the entry.
+    Bytes out(static_cast<size_t>(length));
+    const uint64_t from = offset;
+    const uint64_t to = offset + length;
+    uint64_t end = total;
+    for (CacheAddress a = address; a != kInvalidAddress && end > from; a = meta(a).prev) {
+        const BlockMeta& m = meta(a);
+        const uint64_t start = end - m.length;
+        const uint64_t lo = std::max(start, from);
+        const uint64_t hi = std::min(end, to);
+        if (lo < hi) {
+            std::memcpy(out.data() + (lo - from), blockData(a) + (lo - start),
+                        static_cast<size_t>(hi - lo));
         }
-        pos = end;
+        end = start;
     }
     return out;
 }

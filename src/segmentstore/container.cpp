@@ -165,7 +165,8 @@ sim::Duration SegmentContainer::throttleDelay() const {
     return static_cast<sim::Duration>(f * static_cast<double>(cfg_.maxThrottleDelay));
 }
 
-void SegmentContainer::admit(std::function<void()> fn) {
+template <typename F>
+void SegmentContainer::admit(F fn) {
     sim::Duration d = throttleDelay();
     sim::TimePoint at = std::max(exec_.now() + d, admitCursor_);
     if (at <= exec_.now()) {
@@ -218,7 +219,8 @@ sim::Future<int64_t> SegmentContainer::append(SegmentId id, SharedBuf data, Writ
     if (offline_) return sim::Future<int64_t>::failed(Status(Err::ContainerOffline, ""));
     sim::Promise<int64_t> p;
     auto fut = p.future();
-    admit([this, id, data = std::move(data), writer, eventNumber, eventCount, p]() mutable {
+    admit([this, id, data = std::move(data), writer, eventNumber, eventCount,
+           p = std::move(p)]() mutable {
         if (offline_) {
             p.setError(Err::ContainerOffline);
             return;
@@ -251,7 +253,8 @@ sim::Future<int64_t> SegmentContainer::append(SegmentId id, SharedBuf data, Writ
         op.eventCount = eventCount;
         op.data = std::move(data);
         meta->props.length += static_cast<int64_t>(op.data.size());
-        enqueueOp(std::move(op), [p](const Result<int64_t>& r) mutable { p.complete(r); });
+        enqueueOp(std::move(op),
+                  [p = std::move(p)](const Result<int64_t>& r) mutable { p.complete(r); });
     });
     return fut;
 }
@@ -412,7 +415,7 @@ std::vector<std::pair<std::string, TableValue>> SegmentContainer::tableScan(
 
 // ------------------------------------------------------------ frame path
 
-void SegmentContainer::enqueueOp(Operation op, std::function<void(Result<int64_t>)> completion) {
+void SegmentContainer::enqueueOp(Operation op, Completion completion) {
     if (openFrame_.ops.empty()) openFrame_.openedAt = exec_.now();
     openFrame_.bytes += op.serializedSize();
     openFrame_.ops.push_back(std::move(op));
@@ -492,8 +495,7 @@ void SegmentContainer::closeFrame() {
         });
 }
 
-void SegmentContainer::applyFrame(std::vector<Operation> ops,
-                                  std::vector<std::function<void(Result<int64_t>)>> completions,
+void SegmentContainer::applyFrame(std::vector<Operation> ops, std::vector<Completion> completions,
                                   int64_t walSequence) {
     assert(ops.size() == completions.size());
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -819,7 +821,7 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
         consumePrefetched(id, offset, readEnd);
         noteSequentialHit(id, offset, readEnd, *meta);
-        promise.setValue(std::move(res));
+        std::move(promise).complete(std::move(res));
         return;
     }
     if (std::holds_alternative<ReadAtTail>(outcome.value())) {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -194,9 +193,11 @@ private:
         int64_t appliedLength = 0;  // readable prefix (apply-time)
         TableIndex table;           // only for isTable segments
     };
+    /// Runs once an op is applied (its offset) or has failed.
+    using Completion = sim::Callback<void(Result<int64_t>)>;
     struct PendingFrame {
         std::vector<Operation> ops;
-        std::vector<std::function<void(Result<int64_t>)>> completions;
+        std::vector<Completion> completions;
         uint64_t bytes = 0;
         sim::TimePoint openedAt = 0;  // first op's enqueue time (trace stage)
     };
@@ -234,12 +235,14 @@ private:
     const SegmentMeta* findSegment(SegmentId id) const;
 
     /// Admission gate: serializes op processing and applies throttling.
-    void admit(std::function<void()> fn);
+    /// Runs `fn` at once unless throttled, so the unthrottled path erases
+    /// no closure (defined in container.cpp, its only user).
+    template <typename F>
+    void admit(F fn);
 
-    void enqueueOp(Operation op, std::function<void(Result<int64_t>)> completion);
+    void enqueueOp(Operation op, Completion completion);
     void closeFrame();
-    void applyFrame(std::vector<Operation> ops,
-                    std::vector<std::function<void(Result<int64_t>)>> completions,
+    void applyFrame(std::vector<Operation> ops, std::vector<Completion> completions,
                     int64_t walSequence);
     void applyOp(Operation& op, int64_t walSequence, bool replay);
     void maybeCheckpoint();

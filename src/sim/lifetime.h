@@ -10,44 +10,37 @@
 // guarding a callback changes no schedule and no `runUntilIdle` return point.
 //
 // The generation counter is shared with the guards through the one
-// allocation each Lifetime makes; `reset()` is a plain increment. That
-// allocation is reference-counted with a plain integer, not an atomic: the
-// simulation is single-threaded, and guards are copied on every network hop
-// and timer of the hot path. This is the seastar gate/abort_source idiom
-// behind a `stop()` lifecycle, reduced to a single-threaded simulation.
+// allocation each Lifetime makes, a `Counted` handle: a plain count, not an
+// atomic, since the simulation is single-threaded and guards are copied on
+// every network hop and timer of the hot path. `reset()` is a plain
+// increment. This is the seastar gate/abort_source idiom behind a `stop()`
+// lifecycle, reduced to a single-threaded simulation.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 
+#include "common/counted.h"
+
 namespace pravega::sim {
 
 class Lifetime {
-    struct State {
-        uint64_t gen = 0;
-        uint64_t refs = 1;  // the Lifetime plus its live tokens
-    };
-    static void release(State* s) {
-        if (s != nullptr && --s->refs == 0) delete s;
-    }
-
 public:
     /// A view of one generation, for continuations that must still act when
     /// the owner is gone (fail a caller's promise instead of dropping it).
     /// A moved-from token may only be destroyed.
     class Token {
     public:
-        Token(const Token& o) : s_(o.s_), at_(o.at_) { ++s_->refs; }
-        Token(Token&& o) noexcept : s_(std::exchange(o.s_, nullptr)), at_(o.at_) {}
+        Token(const Token&) = default;
+        Token(Token&&) noexcept = default;
         Token& operator=(const Token&) = delete;
-        ~Token() { release(s_); }
 
-        bool alive() const { return s_->gen == at_; }
+        bool alive() const { return *gen_ == at_; }
 
     private:
         friend class Lifetime;
-        Token(State* s, uint64_t at) : s_(s), at_(at) { ++s_->refs; }
-        State* s_;
+        Token(Counted<uint64_t> gen, uint64_t at) : gen_(std::move(gen)), at_(at) {}
+        Counted<uint64_t> gen_;
         uint64_t at_;
     };
 
@@ -71,23 +64,20 @@ public:
     Lifetime() = default;
     Lifetime(const Lifetime&) = delete;
     Lifetime& operator=(const Lifetime&) = delete;
-    ~Lifetime() {
-        ++s_->gen;
-        release(s_);
-    }
+    ~Lifetime() { ++*gen_; }
 
     template <typename F>
     Guarded<F> guard(F fn) const {
         return Guarded<F>(token(), std::move(fn));
     }
 
-    Token token() const { return Token(s_, s_->gen); }
+    Token token() const { return Token(gen_, *gen_); }
 
     /// Voids every guard and token made so far.
-    void reset() { ++s_->gen; }
+    void reset() { ++*gen_; }
 
 private:
-    State* s_ = new State;
+    Counted<uint64_t> gen_ = Counted<uint64_t>::make(0);
 };
 
 }  // namespace pravega::sim

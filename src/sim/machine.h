@@ -36,7 +36,7 @@
 // instead of one binary heap —
 //   1. a due-now FIFO for zero-delay posts (at == now when pushed, so the
 //      deque is already in (time, seq) order: O(1) push and pop, no heap
-//      sifting of std::function payloads),
+//      sifting of task payloads),
 //   2. a timer wheel for the near future (slot width 2^kWheelShift ns,
 //      kWheelSlots slots ≈ 16.8 ms horizon): O(1) push into an unsorted
 //      slot, pops scan only the cursor slot,
@@ -51,11 +51,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -84,7 +84,8 @@ struct MachineConfig {
 /// owning Machine's scheduler picks the globally-earliest event.
 class Core {
 public:
-    using Task = std::function<void()>;
+    /// Move-only; closures of up to 64 B are stored without allocating.
+    using Task = Callback<void()>;
 
     Core(const Core&) = delete;
     Core& operator=(const Core&) = delete;

@@ -3,6 +3,8 @@
 // against a reference map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "segmentstore/cache.h"
@@ -83,6 +85,29 @@ TEST(BlockCacheTest, ManyAppendsAccumulate) {
         addr = r.value();
     }
     EXPECT_EQ(cache.get(addr).value(), expected);
+}
+
+TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
+    BlockCache cache(smallConfig());
+    // Appends that straddle blocks leave them unevenly filled.
+    auto addr = cache.insert(BytesView(pattern(50))).value();
+    Bytes whole = pattern(50);
+    for (size_t n : {30u, 5u, 90u}) {
+        Bytes piece = pattern(n, static_cast<uint8_t>(n));
+        whole.insert(whole.end(), piece.begin(), piece.end());
+        addr = cache.append(addr, BytesView(piece)).value();
+    }
+    ASSERT_EQ(cache.get(addr).value(), whole);
+    for (uint64_t off = 0; off <= whole.size() + 2; ++off) {
+        for (uint64_t len : {uint64_t{0}, uint64_t{1}, uint64_t{13}, uint64_t{64}, uint64_t{65},
+                             uint64_t{200}, UINT64_MAX}) {
+            const size_t from = std::min<size_t>(off, whole.size());
+            const size_t n = static_cast<size_t>(std::min<uint64_t>(len, whole.size() - from));
+            Bytes want(whole.begin() + static_cast<std::ptrdiff_t>(from),
+                       whole.begin() + static_cast<std::ptrdiff_t>(from + n));
+            EXPECT_EQ(cache.get(addr, off, len).value(), want) << off << "+" << len;
+        }
+    }
 }
 
 TEST(BlockCacheTest, RemoveFreesAllBlocks) {

@@ -3,16 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "golden/scenario.h"
+#include "sim/callback.h"
 #include "sim/machine.h"
 #include "sim/future.h"
 #include "sim/lifetime.h"
@@ -144,6 +147,163 @@ TEST(FutureTest, WhenAllWaitsForEveryFuture) {
 
 TEST(FutureTest, WhenAllEmptyIsReady) {
     EXPECT_TRUE(whenAll(std::vector<Future<int>>{}).isReady());
+}
+
+// ---- Callback: the move-only callable behind tasks and continuations ----
+
+/// Counts live instances, so a test can see every copy of a capture
+/// destroyed exactly once.
+struct Tracked {
+    static inline int live = 0;
+    Tracked() { ++live; }
+    Tracked(const Tracked&) { ++live; }
+    Tracked(Tracked&&) noexcept { ++live; }
+    Tracked& operator=(const Tracked&) = default;
+    ~Tracked() { --live; }
+};
+
+TEST(CallbackTest, MoveOnlyCaptureRunsThroughScheduleAndFutures) {
+    Machine exec;
+    int got = 0;
+    exec.schedule(msec(1), [v = std::make_unique<int>(1), &got]() { got += *v; });
+    Promise<int> p;
+    p.future().onComplete(
+        [v = std::make_unique<int>(10), &got](const Result<int>& r) { got += *v * r.value(); });
+    auto doubled = p.future().then([v = std::make_unique<int>(2)](const int& x) { return x * *v; });
+    auto chained = p.future().thenAsync([v = std::make_unique<int>(3)](const int& x) {
+        return Future<int>::ready(x + *v);
+    });
+    p.setValue(4);
+    EXPECT_EQ(got, 40);
+    exec.runUntilIdle();
+    EXPECT_EQ(got, 41);
+    EXPECT_EQ(doubled.result().value(), 8);
+    EXPECT_EQ(chained.result().value(), 7);
+}
+
+TEST(CallbackTest, InlineAndSpilledCapturesAreDestroyedExactlyOnce) {
+    using Task = Callback<void()>;
+    Tracked::live = 0;
+    {
+        Task small([t = Tracked()] {});
+        std::array<char, Task::kInlineBytes> pad{};
+        Task big([t = Tracked(), pad] { (void)pad; });  // too large: heap
+        EXPECT_EQ(Tracked::live, 2);
+        Task movedSmall = std::move(small);
+        Task movedBig = std::move(big);
+        EXPECT_EQ(Tracked::live, 2);
+        movedSmall();
+        movedBig();
+    }
+    EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(CallbackTest, MoveAssignDestroysTheLiveCallableAndEmptiesTheSource) {
+    Tracked::live = 0;
+    int ran = 0;
+    Callback<void()> a([t = Tracked(), &ran] { ran += 1; });
+    Callback<void()> b([&ran] { ran += 10; });
+    EXPECT_EQ(Tracked::live, 1);
+    a = std::move(b);
+    EXPECT_EQ(Tracked::live, 0);
+    EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move): moved-from is empty
+    ASSERT_TRUE(a);
+    a();
+    EXPECT_EQ(ran, 10);
+}
+
+// ---- Future state: one inline continuation, more in registration order ----
+
+TEST(FutureTest, ContinuationsRunInRegistrationOrder) {
+    for (int n = 1; n <= 3; ++n) {
+        Promise<int> p;
+        std::vector<int> order;
+        for (int i = 0; i < n; ++i) {
+            p.future().onComplete([&order, i](const Result<int>&) { order.push_back(i); });
+        }
+        p.setValue(0);
+        std::vector<int> want(static_cast<size_t>(n));
+        std::iota(want.begin(), want.end(), 0);
+        EXPECT_EQ(order, want) << n << " continuations";
+    }
+}
+
+TEST(FutureTest, LateRegistrationRunsSynchronouslyAfterEarlierOnes) {
+    Promise<int> p;
+    auto fut = p.future();
+    std::vector<std::string> order;
+    fut.onComplete([&](const Result<int>&) { order.push_back("early"); });
+    p.setValue(1);
+    fut.onComplete([&](const Result<int>&) { order.push_back("late"); });
+    EXPECT_EQ(order, (std::vector<std::string>{"early", "late"}));
+}
+
+TEST(FutureTest, DroppingEitherSideFirstIsClean) {
+    Tracked::live = 0;
+    {
+        auto p = std::make_unique<Promise<int>>();
+        auto fut = p->future();
+        fut.onComplete([t = Tracked()](const Result<int>&) {});
+        p.reset();  // promise first: the pending continuation is never run
+        EXPECT_EQ(Tracked::live, 1);
+    }
+    EXPECT_EQ(Tracked::live, 0);
+    {
+        Promise<int> p;
+        p.future().onComplete([t = Tracked()](const Result<int>&) {});  // future first
+        int got = 0;
+        p.future().onComplete([&got](const Result<int>& r) { got = r.value(); });
+        p.setValue(3);
+        EXPECT_EQ(got, 3);
+    }
+    EXPECT_EQ(Tracked::live, 0);
+}
+
+/// A value that counts its copies.
+struct Counted {
+    static inline int copies = 0;
+    std::string text;
+    explicit Counted(std::string t) : text(std::move(t)) {}
+    Counted(const Counted& o) : text(o.text) { ++copies; }
+    Counted(Counted&&) noexcept = default;
+    Counted& operator=(const Counted& o) {
+        text = o.text;
+        ++copies;
+        return *this;
+    }
+    Counted& operator=(Counted&&) noexcept = default;
+};
+
+TEST(FutureTest, ThenAsyncMovesASoleResultThroughTheChain) {
+    Counted::copies = 0;
+    Promise<Unit> start;
+    Promise<Counted> inner;
+    std::string got;
+    start.future()
+        .thenAsync([&](const Unit&) { return inner.future(); })
+        .consume([&](Result<Counted> r) { got = std::move(r).value().text; });
+    start.setValue(Unit{});
+    std::move(inner).complete(Counted("payload"));
+    EXPECT_EQ(got, "payload");
+    EXPECT_EQ(Counted::copies, 0);
+}
+
+TEST(FutureTest, ConsumerCopiesWhenAnotherHandleCanStillRead) {
+    Counted::copies = 0;
+    Promise<Counted> p;
+    Future<Counted> kept = p.future();
+    std::string got;
+    p.future().consume([&](Result<Counted> r) { got = r.value().text; });
+    std::move(p).complete(Counted("shared"));
+    EXPECT_EQ(got, "shared");
+    EXPECT_EQ(Counted::copies, 1);
+    EXPECT_EQ(kept.result().value().text, "shared");  // intact for the other reader
+
+    // A promise completed in place (not given up) may still hand out futures.
+    Promise<Counted> q;
+    q.future().consume([](Result<Counted>) {});
+    q.setValue(Counted("kept"));
+    EXPECT_EQ(q.future().result().value().text, "kept");
 }
 
 TEST(QueuedResourceTest, SerializesSingleLane) {
