@@ -188,7 +188,9 @@ double bestOf3(Fn&& fn) {
 /// Codec kernel row: the LTS flush path's CRC-32 and block encoder on an
 /// 8 MB payload that stores about 2:1 (64 seeded random bytes, then a
 /// 64-byte run, repeated). Rates are wall-clock MB/s (2^20 bytes), best of
-/// 3; the stored size and CRC are deterministic.
+/// 3; the stored size and CRC are deterministic. crc32_folded names the
+/// CRC kernel that ran (1 = PCLMULQDQ folding, 0 = slicing-by-16), fixed
+/// for one host.
 void addCodecRow(pravega::bench::Report& report) {
     constexpr size_t kBytes = 8u << 20;
     Bytes payload(kBytes);
@@ -210,8 +212,11 @@ void addCodecRow(pravega::bench::Report& report) {
                      {{"crc32_mbps", crcSec > 0 ? mb / crcSec : 0.0},
                       {"encode_mbps", encodeSec > 0 ? mb / encodeSec : 0.0},
                       {"stored_bytes", static_cast<double>(stored)},
-                      {"crc32", static_cast<double>(crc)}},
-                     nullptr, "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic");
+                      {"crc32", static_cast<double>(crc)},
+                      {"crc32_folded", pravega::detail::crc32Folds() ? 1.0 : 0.0}},
+                     nullptr,
+                     "MB/s columns are wall-clock; stored_bytes and crc32 are deterministic, "
+                     "crc32_folded is fixed per host");
 }
 
 /// Fills one fresh InMemoryChunkStorage chunk to `bytes` in 4 KB appends
@@ -421,9 +426,10 @@ void runDeterministicScenario() {
     // smoke determinism check scrubs events_per_sec) and the copy budget
     // (virtual-time deterministic). bytes_copied_per_event is the
     // buffer-abstraction bytes copied per CLIENT event: 1x the payload on
-    // the append path (the framing copy) plus the read-side fetch+hand-out
-    // copies of the tail readers. allocs_per_event is operator-new calls per
-    // client event over the same replay (deterministic for one build).
+    // the append path (the framing copy) plus the tail readers' hand-out
+    // copy (fetched bytes are adopted, not copied). allocs_per_event is
+    // operator-new calls per client event over the same replay
+    // (deterministic for one build).
     report.section("engine: DES event loop + copy budget");
     const double desEvents = static_cast<double>(first.desEvents);
     const double clientEvents = static_cast<double>(first.stats.sent > 0 ? first.stats.sent : 1);

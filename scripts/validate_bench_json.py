@@ -213,7 +213,8 @@ def check_micro_core(path, doc):
     """bench_micro_core must publish the DES-engine row (scheduler events,
     the wall-clock dispatch rate, the deterministic copy budget) and the
     codec kernel row (wall-clock CRC-32 and encodeBlock MB/s, the
-    deterministic stored size and CRC of the fixed payload)."""
+    deterministic stored size and CRC of the fixed payload, and which CRC
+    kernel ran)."""
     engine = [r for r in doc["rows"] if r["series"] == "engine"]
     if len(engine) != 1:
         fail(path, f"micro_core needs exactly one engine row, got {len(engine)}")
@@ -234,7 +235,7 @@ def check_micro_core(path, doc):
     if len(codec) != 1:
         fail(path, f"micro_core needs exactly one codec row, got {len(codec)}")
     values = codec[0]["values"]
-    for key in ("crc32_mbps", "encode_mbps", "stored_bytes", "crc32"):
+    for key in ("crc32_mbps", "encode_mbps", "stored_bytes", "crc32", "crc32_folded"):
         if key not in values:
             fail(path, f"codec row missing {key!r}")
         check_number(path, values[key], f"codec.values.{key}")
@@ -243,6 +244,8 @@ def check_micro_core(path, doc):
             fail(path, f"codec {key} must be positive: {values[key]!r}")
     if not 0 <= values["crc32"] < 2**32 or values["crc32"] != int(values["crc32"]):
         fail(path, f'codec crc32 is not a 32-bit value: {values["crc32"]!r}')
+    if values["crc32_folded"] not in (0, 1):
+        fail(path, f'codec crc32_folded must be 0 or 1: {values["crc32_folded"]!r}')
 
 
 def validate(path):

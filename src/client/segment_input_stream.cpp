@@ -61,10 +61,12 @@ void SegmentInputStream::ensureFetching() {
                 store, cid, 0,
                 [=](segmentstore::SegmentContainer& c) { return c.read(id, offset, bytes); });
         },
-        life_.guard([this](const Result<segmentstore::ReadResult>& r) { onFetchComplete(r); }));
+        life_.guard([this](Result<segmentstore::ReadResult>&& r) {
+            onFetchComplete(std::move(r));
+        }));
 }
 
-void SegmentInputStream::onFetchComplete(const Result<segmentstore::ReadResult>& r) {
+void SegmentInputStream::onFetchComplete(Result<segmentstore::ReadResult> r) {
     fetching_ = false;
     if (!r.isOk()) {
         // Container offline mid-read is transient during a move or
@@ -78,10 +80,11 @@ void SegmentInputStream::onFetchComplete(const Result<segmentstore::ReadResult>&
         if (onData_) onData_();
         return;
     }
-    const auto& res = r.value();
+    auto& res = r.value();
     if (!res.data.empty()) {
-        buffer_.appendCopy(BytesView(res.data));
+        // The reply is this reader's alone: adopt its bytes, copy nothing.
         fetchOffset_ += static_cast<int64_t>(res.data.size());
+        buffer_.append(SharedBuf(std::move(res.data)));
     }
     if (res.endOfSegment) endOfSegment_ = true;
     if (onData_) onData_();

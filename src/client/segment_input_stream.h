@@ -51,7 +51,7 @@ public:
     bool failed() const { return failed_; }
 
 private:
-    void onFetchComplete(const Result<segmentstore::ReadResult>& r);
+    void onFetchComplete(Result<segmentstore::ReadResult> r);
 
     sim::Core& exec_;
     ContainerChannel channel_;

@@ -546,7 +546,8 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
             meta->appliedLength = std::max(meta->appliedLength,
                                            op.offset + static_cast<int64_t>(op.data.size()));
             if (!meta->props.isTable) {
-                storageWriter_->queueAppend(op.segment, op.offset, op.data, walSequence);
+                storageWriter_->queueAppend(op.segment, op.offset, op.data, walSequence,
+                                            meta->props.storageLength);
                 if (!replay) {
                     auto& rate = rates_[op.segment];
                     rate.bytes += op.data.size();

@@ -82,15 +82,12 @@ int64_t StorageWriter::chunkIndexFromKey(const std::string& key) {
 }
 
 void StorageWriter::queueAppend(SegmentId segment, int64_t offset, SharedBuf data,
-                                int64_t walSequence) {
+                                int64_t walSequence, int64_t storageLength) {
     auto& state = segments_[segment];
     if (state.deleted) return;
     // Drop bytes already durable in LTS (recovery replays the WAL tail,
     // which may overlap the flushed prefix).
-    auto info = container_.getInfo(segment);
-    if (info && offset + static_cast<int64_t>(data.size()) <= info.value().storageLength) {
-        return;
-    }
+    if (offset + static_cast<int64_t>(data.size()) <= storageLength) return;
     if (state.pending.empty()) state.oldestPending = exec_.now();
     state.pendingBytes += data.size();
     pendingBytes_ += data.size();

@@ -70,8 +70,10 @@ public:
     void stop();
 
     /// Called by the container for every applied append (and during WAL
-    /// replay). Appends already durable in LTS are dropped here.
-    void queueAppend(SegmentId segment, int64_t offset, SharedBuf data, int64_t walSequence);
+    /// replay), with the segment's current `storageLength`. Appends
+    /// already durable in LTS (ending at or below it) are dropped here.
+    void queueAppend(SegmentId segment, int64_t offset, SharedBuf data, int64_t walSequence,
+                     int64_t storageLength);
 
     void notifyDeleted(SegmentId segment);
 

@@ -483,6 +483,38 @@ TEST_F(ClientFixture, ExactlyOneClientSideCopyPerPayloadByte) {
     bufstats::reset();
 }
 
+// The read side's copy budget: a fetched reply is adopted into the
+// reader's chain as it arrives (moved from the channel, not copied), so the
+// only counted copy is the event `readNextEvent` hands out: exactly the
+// payload bytes, one copy per event.
+TEST_F(ClientFixture, ReaderCopiesEachEventOnceAtHandOut) {
+    makeStream();
+    auto writer = cluster.makeWriter("sc/st");
+    constexpr size_t kEvents = 300;
+    constexpr size_t kBytes = 1024;
+    for (size_t i = 0; i < kEvents; ++i) {
+        writer->writeEvent("k", toBytes(std::string(kBytes, 'r')));
+    }
+    writer->flush();
+    cluster.runUntilIdle();
+
+    bufstats::reset();
+    auto uri = cluster.ctrl().getCurrentSegments("sc/st").value()[0];
+    SegmentInputStream sis(cluster.executor(), cluster.network(), cluster.newClientHost(),
+                           uri, 0, ReaderConfig{}, nullptr);
+    size_t events = 0;
+    while (events < kEvents && cluster.machine().runOne()) {
+        while (auto e = sis.readNextEvent()) {
+            ASSERT_EQ(e->size(), kBytes);
+            ++events;
+        }
+    }
+    EXPECT_EQ(events, kEvents);
+    EXPECT_EQ(bufstats::bytesCopied, kEvents * kBytes);
+    EXPECT_EQ(bufstats::copyOps, kEvents);
+    bufstats::reset();
+}
+
 // --- reader hardening ------------------------------------------------------
 
 TEST_F(ClientFixture, CorruptFrameFailsTheStreamAndCounts) {

@@ -1,10 +1,13 @@
-// CRC-32 known answers, and the slicing-by-16 kernel against the classic
-// byte-at-a-time table loop kept here as the oracle: whole buffers, running
-// CRCs chained across every split, and every start alignment and tail
-// length around the 8-byte word and the 16-byte step.
+// CRC-32 known answers, and both kernels against the classic byte-at-a-time
+// table loop kept here as the oracle: `crc32` (the PCLMULQDQ folding kernel
+// on hosts that have it, slicing-by-16 elsewhere) and `detail::crc32Table`
+// (slicing-by-16 everywhere). Whole buffers, running CRCs chained across
+// every split (also from one kernel into the other), and every start
+// alignment and length across the 16-byte step and the 64-byte fold.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -37,39 +40,61 @@ Bytes patterned(size_t n) {
     return b;
 }
 
+/// Both kernels, under a name for failure messages.
+struct Kernel {
+    const char* name;
+    uint32_t (*fn)(const uint8_t*, size_t, uint32_t);
+};
+const Kernel kKernels[] = {{"crc32", &crc32}, {"crc32Table", &detail::crc32Table}};
+
 }  // namespace
 
 TEST(Crc32Test, KnownAnswers) {
-    EXPECT_EQ(crc32(nullptr, 0), 0u);
     const std::string_view check = "123456789";
-    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
-              0xCBF43926u);
-    // The seed is a previous result: an empty update leaves it unchanged.
-    EXPECT_EQ(crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+    const auto* p = reinterpret_cast<const uint8_t*>(check.data());
+    for (const Kernel& k : kKernels) {
+        EXPECT_EQ(k.fn(nullptr, 0, 0), 0u) << k.name;
+        EXPECT_EQ(k.fn(p, check.size(), 0), 0xCBF43926u) << k.name;
+        // The seed is a previous result: an empty update leaves it unchanged.
+        EXPECT_EQ(k.fn(nullptr, 0, 0xCBF43926u), 0xCBF43926u) << k.name;
+    }
+    std::printf("crc32 kernel on this host: %s\n",
+                detail::crc32Folds() ? "PCLMULQDQ folding" : "slicing-by-16");
 }
 
 TEST(Crc32Test, MatchesByteLoopOnOneMiB) {
     const Bytes buf = patterned(1 << 20);
-    EXPECT_EQ(crc32(buf.data(), buf.size()), crc32Oracle(buf.data(), buf.size()));
+    const uint32_t want = crc32Oracle(buf.data(), buf.size());
+    for (const Kernel& k : kKernels) EXPECT_EQ(k.fn(buf.data(), buf.size(), 0), want) << k.name;
 }
 
 TEST(Crc32Test, ChainsAcrossEverySplit) {
-    const Bytes buf = patterned(200);
-    const uint32_t whole = crc32(buf.data(), buf.size());
-    for (size_t split = 0; split <= 64; ++split) {
-        const uint32_t a = crc32(buf.data(), split);
-        EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, a), whole) << "split " << split;
+    // Splits on both sides of the 64 B fold threshold and of the 128 B
+    // second fold step; either half may fold, slice, or both.
+    const Bytes buf = patterned(300);
+    const uint32_t whole = crc32Oracle(buf.data(), buf.size());
+    for (size_t split = 0; split <= 200; ++split) {
+        for (const Kernel& first : kKernels) {
+            for (const Kernel& second : kKernels) {
+                const uint32_t a = first.fn(buf.data(), split, 0);
+                EXPECT_EQ(second.fn(buf.data() + split, buf.size() - split, a), whole)
+                    << first.name << " then " << second.name << ", split " << split;
+            }
+        }
     }
 }
 
-TEST(Crc32Test, EveryAlignmentAndTailMatchesOracle) {
-    const Bytes buf = patterned(64);
+TEST(Crc32Test, EveryAlignmentAndLengthMatchesOracle) {
+    const Bytes buf = patterned(1200);
     sim::Rng rng(7);
-    for (size_t off = 0; off < 8; ++off) {
-        for (size_t len = 0; len <= 33; ++len) {
+    for (size_t off = 0; off < 16; ++off) {
+        for (size_t len = 0; len <= 1100; ++len) {
             const uint32_t seed = static_cast<uint32_t>(rng.next());
-            EXPECT_EQ(crc32(buf.data() + off, len, seed), crc32Oracle(buf.data() + off, len, seed))
-                << "offset " << off << " length " << len;
+            const uint32_t want = crc32Oracle(buf.data() + off, len, seed);
+            for (const Kernel& k : kKernels) {
+                ASSERT_EQ(k.fn(buf.data() + off, len, seed), want)
+                    << k.name << ", offset " << off << " length " << len;
+            }
         }
     }
 }
@@ -81,7 +106,10 @@ TEST(Crc32Test, FuzzedBuffersAndSeedsMatchOracle) {
         buf.resize(rng.nextBounded(300));
         for (auto& b : buf) b = static_cast<uint8_t>(rng.next());
         const uint32_t seed = iter % 2 ? static_cast<uint32_t>(rng.next()) : 0;
-        ASSERT_EQ(crc32(buf.data(), buf.size(), seed), crc32Oracle(buf.data(), buf.size(), seed))
-            << "iteration " << iter;
+        const uint32_t want = crc32Oracle(buf.data(), buf.size(), seed);
+        for (const Kernel& k : kKernels) {
+            ASSERT_EQ(k.fn(buf.data(), buf.size(), seed), want)
+                << k.name << ", iteration " << iter;
+        }
     }
 }
