@@ -51,12 +51,6 @@ uint64_t KafkaCluster::partitionFileId(const std::string& topic, int partition) 
     return fnv1a64(topic) ^ mix64(static_cast<uint64_t>(partition) + 0x5EED);
 }
 
-uint64_t KafkaCluster::diskBytesWritten() const {
-    uint64_t total = 0;
-    for (const auto& b : brokers_) total += b.disk->bytesWritten();
-    return total;
-}
-
 void KafkaCluster::produce(const std::string& topic, int partition, uint64_t bytes,
                            uint32_t events, sim::TimePoint producedAt,
                            std::function<void(Status)> done) {

@@ -146,7 +146,6 @@ public:
 
     const KafkaConfig& config() const { return cfg_; }
     uint64_t bytesProduced() const { return bytesProduced_; }
-    uint64_t diskBytesWritten() const;
 
 private:
     friend class KafkaProducer;

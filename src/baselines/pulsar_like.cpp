@@ -284,11 +284,6 @@ PulsarConsumer::PulsarConsumer(PulsarCluster& cluster, sim::HostId clientHost,
     catchUpLoop();
 }
 
-int64_t PulsarConsumer::backlogBytes() const {
-    auto* part = const_cast<PulsarCluster&>(cluster_).find(topic_, partition_);
-    return part ? part->length - offset_ : 0;
-}
-
 void PulsarConsumer::catchUpLoop() {
     auto* part = cluster_.find(topic_, partition_);
     if (!part) return;

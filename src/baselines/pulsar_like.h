@@ -129,8 +129,6 @@ public:
     PulsarConsumer(PulsarCluster& cluster, sim::HostId clientHost, std::string topic,
                    int partition, bool fromEarliest, Delivery onDelivery);
 
-    int64_t backlogBytes() const;
-
 private:
     friend class PulsarCluster;
     void catchUpLoop();

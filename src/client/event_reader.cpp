@@ -31,9 +31,7 @@ EventReader::EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerH
 
 void EventReader::syncTick() {
     exec_.scheduleWeak(kSyncInterval, life_.guard([this]() {
-        if (closed_) return;
         sync_.fetchUpdates().onComplete(life_.guard([this](const Result<sim::Unit>&) {
-            if (closed_) return;
             rebalance();
             handleEndedSegments();
             syncTick();
@@ -42,7 +40,7 @@ void EventReader::syncTick() {
 }
 
 void EventReader::rebalance() {
-    if (updateInFlight_ || closed_) return;
+    if (updateInFlight_) return;
     const ReaderGroupState& state = sync_.state();
     size_t mine = state.segmentsOwnedBy(name_);
     size_t share = state.fairShare();
@@ -141,10 +139,6 @@ sim::Future<EventRead> EventReader::readNextEvent() {
     assert(!waiting_ && "one outstanding readNextEvent at a time");
     sim::Promise<EventRead> promise;
     auto fut = promise.future();
-    if (closed_) {
-        promise.setError(Err::Cancelled, "reader closed");
-        return fut;
-    }
     if (deliverBuffered(promise)) return fut;
     handleEndedSegments();
     waiting_.emplace(std::move(promise));
@@ -171,7 +165,6 @@ void EventReader::onData() {
 }
 
 void EventReader::handleEndedSegments() {
-    if (closed_) return;
     for (auto& [seg, stream] : streams_) {
         if (!stream->endOfSegment() || completing_.contains(seg) || releasing_.contains(seg)) {
             continue;
@@ -209,33 +202,6 @@ void EventReader::handleEndedSegments() {
                 handleEndedSegments();
             }));
         return;  // streams_ may mutate; re-entered via the completion
-    }
-}
-
-void EventReader::close() {
-    if (closed_) return;
-    closed_ = true;
-    // Release every segment at its current position, then deregister.
-    std::vector<std::pair<SegmentId, int64_t>> positions;
-    for (auto& [seg, stream] : streams_) positions.emplace_back(seg, stream->position());
-    auto releaseAll = [this, positions](const ReaderGroupState&) -> std::optional<Bytes> {
-        (void)positions;
-        return ReaderGroupState::makeRemoveReader(name_);
-    };
-    // Releases first so offsets are preserved, then removal.
-    for (const auto& [seg, off] : positions) {
-        sync_.updateState([this, seg = seg, off = off](const ReaderGroupState& s)
-                              -> std::optional<Bytes> {
-            auto it = s.assignments.find(name_);
-            if (it == s.assignments.end() || !it->second.contains(seg)) return std::nullopt;
-            return ReaderGroupState::makeRelease(name_, seg, off);
-        });
-    }
-    sync_.updateState(releaseAll);
-    streams_.clear();
-    if (waiting_) {
-        waiting_->setError(Err::Cancelled, "reader closed");
-        waiting_.reset();
     }
 }
 

@@ -40,9 +40,6 @@ public:
     /// Non-blocking variant: next buffered event if one is ready.
     std::optional<EventRead> pollEvent();
 
-    /// Releases all segments and deregisters from the group.
-    void close();
-
     const std::string& name() const { return name_; }
     size_t assignedSegments() const { return streams_.size(); }
     uint64_t eventsRead() const { return eventsRead_; }
@@ -70,7 +67,6 @@ private:
     sim::TimePoint waitStart_ = 0;  // when waiting_ was parked (trace stage)
     SegmentId rrLast_ = 0;  // round-robin cursor across assigned segments
     bool updateInFlight_ = false;
-    bool closed_ = false;
     uint64_t eventsRead_ = 0;
     // Instruments looked up at first use, so an idle reader adds nothing to
     // the registry dump.

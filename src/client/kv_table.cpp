@@ -43,19 +43,6 @@ sim::Future<std::optional<segmentstore::TableValue>> KeyValueTable::get(const st
         });
 }
 
-sim::Future<sim::Unit> KeyValueTable::remove(const std::string& key, int64_t expectedVersion) {
-    std::vector<segmentstore::TableUpdate> batch(1);
-    batch[0].key = key;
-    batch[0].value = std::nullopt;
-    batch[0].expectedVersion = expectedVersion;
-    return request<sim::Unit>(
-        key.size(),
-        [table = table_, batch = std::move(batch)](SegmentStore&, SegmentContainer& c) mutable {
-            return c.tableUpdate(table, std::move(batch))
-                .then([](const std::vector<int64_t>&) { return sim::Unit{}; });
-        });
-}
-
 sim::Future<std::vector<int64_t>> KeyValueTable::updateAll(
     std::vector<segmentstore::TableUpdate> batch) {
     uint64_t bytes = 0;

@@ -38,9 +38,6 @@ public:
 
     sim::Future<std::optional<segmentstore::TableValue>> get(const std::string& key);
 
-    sim::Future<sim::Unit> remove(const std::string& key,
-                                  int64_t expectedVersion = segmentstore::kAnyVersion);
-
     /// Multi-key atomic transaction (§4.3: "using transactions to update
     /// multiple keys at once").
     sim::Future<std::vector<int64_t>> updateAll(std::vector<segmentstore::TableUpdate> batch);

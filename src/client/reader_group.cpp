@@ -11,7 +11,6 @@ namespace pravega::client {
 namespace {
 enum class UpdateTag : uint8_t {
     AddReader = 1,
-    RemoveReader = 2,
     AddSegments = 3,
     Acquire = 4,
     Release = 5,
@@ -44,19 +43,6 @@ void ReaderGroupState::apply(BytesView update) {
         case UpdateTag::AddReader: {
             auto name = r.str();
             if (name) assignments.try_emplace(name.value());
-            break;
-        }
-        case UpdateTag::RemoveReader: {
-            auto name = r.str();
-            if (!name) return;
-            auto it = assignments.find(name.value());
-            if (it != assignments.end()) {
-                // Offline reader: its segments go back to the pool. (Their
-                // offsets revert to 0 only when the reader could not
-                // release cleanly; clean close releases with offsets.)
-                for (SegmentId seg : it->second) unassigned.emplace(seg, 0);
-                assignments.erase(it);
-            }
             break;
         }
         case UpdateTag::AddSegments: {
@@ -139,14 +125,6 @@ Bytes ReaderGroupState::makeAddReader(const std::string& reader) {
     Bytes out;
     BinaryWriter w(out);
     w.u8(static_cast<uint8_t>(UpdateTag::AddReader));
-    w.str(reader);
-    return out;
-}
-
-Bytes ReaderGroupState::makeRemoveReader(const std::string& reader) {
-    Bytes out;
-    BinaryWriter w(out);
-    w.u8(static_cast<uint8_t>(UpdateTag::RemoveReader));
     w.str(reader);
     return out;
 }

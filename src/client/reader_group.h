@@ -45,7 +45,6 @@ struct ReaderGroupState {
 
     // ---- update builders ----
     static Bytes makeAddReader(const std::string& reader);
-    static Bytes makeRemoveReader(const std::string& reader);
     static Bytes makeAddSegments(const std::map<SegmentId, int64_t>& segments);
     static Bytes makeAcquire(const std::string& reader, SegmentId segment);
     static Bytes makeRelease(const std::string& reader, SegmentId segment, int64_t offset);

@@ -54,7 +54,7 @@ void SegmentOutputStream::connect() {
         connection_.guard([this](const Result<int64_t>& last) {
             // A handshake that failed (the container moved while it was on
             // the wire) keeps the count; trySend() then follows the move.
-            if (last.isOk() && last.value() != segmentstore::AttributeIndex::kNullValue) {
+            if (last.isOk() && last.value() != segmentstore::kNullValue) {
                 nextEventNumber_ = std::max(nextEventNumber_, last.value() + 1);
             }
             setupDone_ = true;

@@ -151,12 +151,6 @@ sim::HostId PravegaCluster::storeHost(size_t index) const {
     return kStoreHostBase + static_cast<sim::HostId>(index);
 }
 
-size_t PravegaCluster::liveStoreCount() const {
-    size_t n = 0;
-    for (bool alive : storeAlive_) n += alive;
-    return n;
-}
-
 Status PravegaCluster::crashStore(size_t index) {
     if (index >= stores_.size() || !storeAlive_[index]) {
         return Status(Err::InvalidArgument, "no such live store");

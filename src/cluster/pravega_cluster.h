@@ -143,7 +143,6 @@ public:
     }
     sim::HostId bookieHost(size_t index) const { return bookies_[index]->host(); }
     sim::HostId storeHost(size_t index) const;
-    size_t liveStoreCount() const;
 
     /// The load-aware container rebalancer, or nullptr when
     /// `rebalanceContainers` is off.

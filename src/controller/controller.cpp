@@ -192,15 +192,6 @@ Result<std::vector<SegmentUri>> Controller::getHeadSegments(const std::string& s
     return out;
 }
 
-Result<SegmentUri> Controller::getSegmentForKey(const std::string& scopedName,
-                                                double keyHash) const {
-    auto it = streams_.find(scopedName);
-    if (it == streams_.end()) return Status(Err::NotFound, scopedName);
-    auto seg = it->second.segmentForKey(keyHash);
-    if (!seg) return seg.status();
-    return uriOf(seg.value().id);
-}
-
 Result<std::vector<SuccessorRecord>> Controller::getSuccessors(SegmentId segment) const {
     auto sit = segmentToStream_.find(segment);
     if (sit == segmentToStream_.end()) return Status(Err::NotFound, "unknown segment");

@@ -71,7 +71,6 @@ public:
     /// Segments at the head of the stream (the earliest epoch): where a
     /// reader group starts; later segments are discovered via successors.
     Result<std::vector<SegmentUri>> getHeadSegments(const std::string& scopedName) const;
-    Result<SegmentUri> getSegmentForKey(const std::string& scopedName, double keyHash) const;
     Result<std::vector<SuccessorRecord>> getSuccessors(SegmentId segment) const;
     Result<SegmentUri> uriOf(SegmentId segment) const;
     /// Scoped stream name owning `segment` (NotFound for internal segments).

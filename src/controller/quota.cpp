@@ -32,8 +32,6 @@ void TenantQuotaManager::start() {
     timer_.every(cfg_.pollInterval);
 }
 
-void TenantQuotaManager::stop() { timer_.cancel(); }
-
 double TenantQuotaManager::allowance(const std::string& tenant) const {
     auto it = tenants_.find(tenant);
     if (it == tenants_.end() || it->second.quotaBytesPerSec <= 0) return 1.0;
@@ -69,14 +67,14 @@ void TenantQuotaManager::tick() {
         for (uint32_t cid : store->containerIds()) {
             auto* container = store->container(cid);
             if (container == nullptr) continue;
-            for (const auto& [seg, cum] : container->cumulativeRates()) {
+            container->forEachCumulativeRate([&](SegmentId seg, const auto& cum) {
                 uint64_t prev = prevBytes_[seg];
                 uint64_t d = cum.bytes >= prev ? cum.bytes - prev : cum.bytes;
                 prevBytes_[seg] = cum.bytes;
-                if (d == 0) continue;
+                if (d == 0) return;
                 const std::string& tenant = tenantOf(seg);
                 if (!tenant.empty()) tenantBytes[tenant] += d;
-            }
+            });
         }
     }
 

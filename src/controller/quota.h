@@ -49,7 +49,6 @@ public:
     void setQuota(const std::string& tenant, double bytesPerSec);
 
     void start();
-    void stop();
 
     /// Runs one evaluation immediately (test hook).
     void tickNow() { tick(); }

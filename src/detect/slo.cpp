@@ -57,16 +57,6 @@ const char* SloRule::aggName(Agg agg) {
     return "unknown";
 }
 
-const char* SloRule::cmpName(Cmp cmp) {
-    switch (cmp) {
-        case Cmp::LT: return "<";
-        case Cmp::LE: return "<=";
-        case Cmp::GT: return ">";
-        case Cmp::GE: return ">=";
-    }
-    return "?";
-}
-
 Result<SloRule> SloRule::parse(const std::string& text) {
     SloRule rule;
     rule.text = trim(text);

@@ -55,7 +55,6 @@ struct SloRule {
 
     static Result<SloRule> parse(const std::string& text);
     static const char* aggName(Agg agg);
-    static const char* cmpName(Cmp cmp);
 };
 
 /// End-of-run verdict for one rule. `worst` is the most-violating value

@@ -174,66 +174,6 @@ std::string MetricsRegistry::dump() const {
     return out;
 }
 
-std::string MetricsRegistry::toJson() const {
-    std::string out = "{";
-    out += "\"counters\":{";
-    bool first = true;
-    for (const auto& [name, c] : counters_) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"";
-        out += jsonEscape(name);
-        out += "\":";
-        out += std::to_string(c->value());
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, g] : gauges_) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"";
-        out += jsonEscape(name);
-        out += "\":";
-        out += fmtDouble(g->value());
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, h] : histograms_) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"";
-        out += jsonEscape(name);
-        out += "\":{\"count\":";
-        out += std::to_string(h->count());
-        out += ",\"mean_ns\":";
-        out += fmtDouble(h->meanNs());
-        out += ",\"p50_ns\":";
-        out += fmtDouble(h->percentileNs(50));
-        out += ",\"p95_ns\":";
-        out += fmtDouble(h->percentileNs(95));
-        out += ",\"p99_ns\":";
-        out += fmtDouble(h->percentileNs(99));
-        out += ",\"max_ns\":";
-        out += fmtDouble(h->maxNs());
-        out += "}";
-    }
-    out += "},\"meters\":{";
-    first = true;
-    for (const auto& [name, m] : meters_) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"";
-        out += jsonEscape(name);
-        out += "\":{\"total\":";
-        out += std::to_string(m->total());
-        out += ",\"per_sec\":";
-        out += fmtDouble(m->perSecond());
-        out += "}";
-    }
-    out += "}}";
-    return out;
-}
-
 void MetricsRegistry::visitCounters(
     const std::function<void(const std::string&, const Counter&)>& fn) const {
     for (const auto& [name, c] : counters_) fn(name, *c);

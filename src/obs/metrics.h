@@ -122,10 +122,6 @@ public:
     /// fixed formatting. Byte-identical across same-seed runs.
     std::string dump() const;
 
-    /// Deterministic JSON object {"counters":{...},"gauges":{...},
-    /// "histograms":{...},"meters":{...}} — embedded into BENCH_*.json.
-    std::string toJson() const;
-
     void visitCounters(const std::function<void(const std::string&, const Counter&)>& fn) const;
     void visitHistograms(
         const std::function<void(const std::string&, const LatencyHistogram&)>& fn) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/buf_chain.h"
 #include "common/logging.h"
@@ -11,8 +12,37 @@ namespace pravega::segmentstore {
 namespace {
 constexpr const char* kLog = "container";
 
+/// Frame size cap: frames close at 1 MB (paper §4.1), the MaxFrameSize of
+/// the delay formula.
+constexpr uint64_t kMaxFrameBytes = 1024 * 1024;
+/// Cache policy cadence (read-index eviction).
+constexpr sim::Duration kCachePolicyInterval = sim::msec(250);
+/// Fan-out bound for one demand miss spanning chunk boundaries.
+constexpr int kMaxParallelChunkFetches = 8;
+/// Cap on in-flight prefetch bytes per container.
+constexpr uint64_t kPrefetchBudgetBytes = 32 * 1024 * 1024;
+/// Prefetch stops above this cache utilization so readahead can never push
+/// the cache into evicting the live tail (§4.2 policy evicts only below the
+/// storage watermark; this margin keeps prefetch from forcing those
+/// evictions either).
+constexpr double kPrefetchMaxCacheUtilization = 0.75;
+
 SegmentId systemTableIdFor(uint32_t containerId) {
     return makeSegmentId(0xFFFFFFFFu, containerId);
+}
+
+int64_t getAttribute(const std::map<AttributeId, int64_t>& attributes, AttributeId id) {
+    auto it = attributes.find(id);
+    return it == attributes.end() ? kNullValue : it->second;
+}
+
+/// Setting kNullValue removes the attribute.
+void setAttribute(std::map<AttributeId, int64_t>& attributes, AttributeId id, int64_t value) {
+    if (value == kNullValue) {
+        attributes.erase(id);
+    } else {
+        attributes[id] = value;
+    }
 }
 }  // namespace
 
@@ -71,6 +101,19 @@ const SegmentContainer::SegmentMeta* SegmentContainer::findSegment(SegmentId id)
     return it == segments_.end() || it->second.props.deleted ? nullptr : &it->second;
 }
 
+SegmentContainer::SegmentMeta& SegmentContainer::resetSegment(SegmentId id, std::string name,
+                                                              bool isTable) {
+    SegmentMeta& meta = segments_[id];
+    meta.props = SegmentProperties{};
+    meta.props.id = id;
+    meta.props.name = std::move(name);
+    meta.props.isTable = isTable;
+    meta.appliedLength = 0;
+    meta.table = TableIndex{};
+    readIndex_.addSegment(id);
+    return meta;
+}
+
 // --------------------------------------------------------------- startup
 
 Status SegmentContainer::start() {
@@ -103,7 +146,7 @@ Status SegmentContainer::start() {
     }
 
     storageWriter_->start();
-    cacheTimer_.every(cfg_.cachePolicyInterval);
+    cacheTimer_.every(kCachePolicyInterval);
     PLOG_INFO(kLog, "container %u online, %zu segments recovered", containerId_,
               segments_.size());
     return Status::ok();
@@ -122,27 +165,22 @@ void SegmentContainer::failAllPending(Status error) {
     auto frame = std::move(openFrame_);
     openFrame_ = PendingFrame{};
     for (auto& c : frame.completions) c(error);
-    auto waiters = std::move(tailWaiters_);
-    tailWaiters_.clear();
-    for (auto& [seg, list] : waiters) {
-        for (auto& w : list) w.wake.setError(error);
+    // Every segment's tail waiters, then every flush waiter, then the
+    // in-flight fetches, whose late piece completions are dropped.
+    for (auto& [id, meta] : segments_) {
+        for (auto& w : std::exchange(meta.tailWaiters, {})) w.promise.setError(error);
     }
-    auto parked = std::move(flushWaiters_);
-    flushWaiters_.clear();
-    for (auto& [seg, list] : parked) {
-        for (auto& w : list) w.promise.setError(error);
+    for (auto& [id, meta] : segments_) {
+        for (auto& w : std::exchange(meta.flushWaiters, {})) w.promise.setError(error);
     }
-    // Drain the in-flight fetch table; late piece completions are dropped.
     fetches_.reset();
-    auto fetches = std::move(inflightFetches_);
-    inflightFetches_.clear();
-    for (auto& [seg, perSeg] : fetches) {
-        for (auto& [start, fetch] : perSeg) {
+    for (auto& [id, meta] : segments_) {
+        for (auto& [start, fetch] : std::exchange(meta.fetches, {})) {
             for (auto& w : fetch.waiters) w.promise.setError(error);
         }
+        meta.readState = SegmentReadState{};
     }
     prefetchInflightBytes_ = 0;
-    readStates_.clear();
 }
 
 // ------------------------------------------------------------- admission
@@ -185,16 +223,8 @@ void SegmentContainer::admit(F fn) {
 sim::Future<sim::Unit> SegmentContainer::createSegment(SegmentId id, std::string name,
                                                        bool isTable) {
     if (offline_) return sim::Future<sim::Unit>::failed(Status(Err::ContainerOffline, ""));
-    if (segments_.contains(id) && !segments_[id].props.deleted) {
-        return sim::Future<sim::Unit>::failed(Status(Err::AlreadyExists, name));
-    }
-    auto& meta = segments_[id];
-    meta = SegmentMeta{};
-    meta.props.id = id;
-    meta.props.name = name;
-    meta.props.isTable = isTable;
-    readIndex_.addSegment(id);
-    attributes_.addSegment(id);
+    if (findSegment(id)) return sim::Future<sim::Unit>::failed(Status(Err::AlreadyExists, name));
+    resetSegment(id, name, isTable);
 
     Operation op;
     op.type = OpType::Create;
@@ -237,12 +267,12 @@ sim::Future<int64_t> SegmentContainer::append(SegmentId id, SharedBuf data, Writ
         if (writer != 0) {
             // Exactly-once: stale event numbers are duplicates from a
             // writer retry; acknowledge without appending (§3.2).
-            int64_t last = attributes_.get(id, writer);
-            if (last != AttributeIndex::kNullValue && eventNumber <= last) {
+            int64_t last = getAttribute(meta->attributes, writer);
+            if (last != kNullValue && eventNumber <= last) {
                 p.setValue(-1);
                 return;
             }
-            attributes_.set(id, writer, eventNumber);
+            setAttribute(meta->attributes, writer, eventNumber);
         }
         Operation op;
         op.type = OpType::Append;
@@ -360,7 +390,9 @@ Result<SegmentProperties> SegmentContainer::getInfo(SegmentId id) const {
 }
 
 int64_t SegmentContainer::getWriterLastEventNumber(SegmentId id, WriterId writer) const {
-    return attributes_.get(id, writer);
+    // A tombstone answers until its Delete applies and drops its attributes.
+    auto it = segments_.find(id);
+    return it == segments_.end() ? kNullValue : getAttribute(it->second.attributes, writer);
 }
 
 sim::Future<std::vector<int64_t>> SegmentContainer::tableUpdate(SegmentId id,
@@ -424,7 +456,7 @@ void SegmentContainer::enqueueOp(Operation op, Completion completion) {
     mQueueDepth_.set(static_cast<double>(openFrame_.ops.size()) +
                      static_cast<double>(inFlightFrames_));
 
-    if (openFrame_.bytes >= cfg_.maxFrameBytes) {
+    if (openFrame_.bytes >= kMaxFrameBytes) {
         closeFrame();
     } else {
         frameTimer_.arm(currentBatchDelay());
@@ -433,7 +465,7 @@ void SegmentContainer::enqueueOp(Operation op, Completion completion) {
 
 sim::Duration SegmentContainer::currentBatchDelay() const {
     // Delay = RecentLatency * (1 - AvgWriteSize / MaxFrameSize), bounded.
-    double fill = avgWriteSizeBytes_ / static_cast<double>(cfg_.maxFrameBytes);
+    double fill = avgWriteSizeBytes_ / static_cast<double>(kMaxFrameBytes);
     fill = std::clamp(fill, 0.0, 1.0);
     auto d = static_cast<sim::Duration>(recentWalLatencyNs_ * (1.0 - fill));
     return std::clamp<sim::Duration>(d, 0, cfg_.maxBatchDelay);
@@ -513,15 +545,7 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
 
     switch (op.type) {
         case OpType::Create: {
-            if (replay) {
-                auto& meta = segments_[op.segment];
-                meta = SegmentMeta{};
-                meta.props.id = op.segment;
-                meta.props.name = op.name;
-                meta.props.isTable = op.isTable;
-                readIndex_.addSegment(op.segment);
-                attributes_.addSegment(op.segment);
-            }
+            if (replay) resetSegment(op.segment, op.name, op.isTable);
             break;
         }
         case OpType::Append: {
@@ -534,13 +558,12 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
                 auto& m = segments_[op.segment];
                 m.props.id = op.segment;
                 readIndex_.addSegment(op.segment);
-                attributes_.addSegment(op.segment);
                 meta = &m;
             }
             if (replay) {
                 meta->props.length = std::max(meta->props.length,
                                               op.offset + static_cast<int64_t>(op.data.size()));
-                if (op.writer != 0) attributes_.set(op.segment, op.writer, op.eventNumber);
+                if (op.writer != 0) setAttribute(meta->attributes, op.writer, op.eventNumber);
             }
             readIndex_.append(op.segment, op.offset, BufChain(op.data));
             meta->appliedLength = std::max(meta->appliedLength,
@@ -549,24 +572,22 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
                 storageWriter_->queueAppend(op.segment, op.offset, op.data, walSequence,
                                             meta->props.storageLength);
                 if (!replay) {
-                    auto& rate = rates_[op.segment];
-                    rate.bytes += op.data.size();
-                    rate.events += op.eventCount;
-                    auto& cum = cumRates_[op.segment];
-                    cum.bytes += op.data.size();
-                    cum.events += op.eventCount;
+                    meta->rate.bytes += op.data.size();
+                    meta->rate.events += op.eventCount;
+                    meta->cumRate.bytes += op.data.size();
+                    meta->cumRate.events += op.eventCount;
                     cumBytes_ += op.data.size();
                     cumEvents_ += op.eventCount;
                 }
             }
-            if (!replay) wakeTailWaiters(op.segment);
+            if (!replay) wakeTailWaiters(*meta);
             break;
         }
         case OpType::Seal: {
             SegmentMeta* meta = findSegment(op.segment);
             if (meta) {
                 if (replay) meta->props.sealed = true;
-                if (!replay) wakeTailWaiters(op.segment);  // waiters see end-of-segment
+                if (!replay) wakeTailWaiters(*meta);  // waiters see end-of-segment
             }
             break;
         }
@@ -581,29 +602,28 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
             break;
         }
         case OpType::Delete: {
+            // The one place a segment's state dies: the record becomes a
+            // tombstone and every parked read resolves NotFound — fetch
+            // riders first, then tail waiters, then flush waiters.
             auto it = segments_.find(op.segment);
             if (it != segments_.end()) {
-                it->second.props.deleted = true;
+                SegmentMeta& meta = it->second;
+                meta.props.deleted = true;
                 readIndex_.removeSegment(op.segment);
-                attributes_.removeSegment(op.segment);
+                meta.attributes.clear();
                 storageWriter_->notifyDeleted(op.segment);
-                readStates_.erase(op.segment);
-                auto fit = inflightFetches_.find(op.segment);
-                if (fit != inflightFetches_.end()) {
-                    auto fetches = std::move(fit->second);
-                    inflightFetches_.erase(fit);
-                    for (auto& [start, fetch] : fetches) {
-                        if (fetch.prefetch) {
-                            uint64_t bytes = static_cast<uint64_t>(fetch.end - start);
-                            prefetchInflightBytes_ -= std::min(prefetchInflightBytes_, bytes);
-                        }
-                        for (auto& w : fetch.waiters) {
-                            w.promise.setError(Status(Err::NotFound, "segment deleted"));
-                        }
+                meta.readState = SegmentReadState{};
+                for (auto& [start, fetch] : std::exchange(meta.fetches, {})) {
+                    if (fetch.prefetch) {
+                        uint64_t bytes = static_cast<uint64_t>(fetch.end - start);
+                        prefetchInflightBytes_ -= std::min(prefetchInflightBytes_, bytes);
+                    }
+                    for (auto& w : fetch.waiters) {
+                        w.promise.setError(Status(Err::NotFound, "segment deleted"));
                     }
                 }
-                if (!replay) wakeTailWaiters(op.segment);
-                wakeFlushWaiters(op.segment);
+                if (!replay) wakeTailWaiters(meta);
+                wakeFlushWaiters(meta);
             }
             break;
         }
@@ -635,44 +655,30 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
     }
 }
 
-void SegmentContainer::wakeTailWaiters(SegmentId id) {
-    auto it = tailWaiters_.find(id);
-    if (it == tailWaiters_.end()) return;
-    SegmentMeta* meta = findSegment(id);
-    int64_t applied = meta ? meta->appliedLength : INT64_MAX;
-    bool closed = !meta || meta->props.sealed;
-
-    std::vector<TailWaiter> ready;
-    auto& list = it->second;
-    for (auto wit = list.begin(); wit != list.end();) {
-        if (closed || wit->offset < applied) {
-            ready.push_back(std::move(*wit));
-            wit = list.erase(wit);
-        } else {
-            ++wit;
-        }
-    }
-    if (list.empty()) tailWaiters_.erase(it);
-    for (auto& w : ready) w.wake.setValue(sim::Unit{});
+void SegmentContainer::wakeTailWaiters(SegmentMeta& meta) {
+    bool closed = meta.props.deleted || meta.props.sealed;  // waiters see the end
+    retryParked(meta, meta.tailWaiters, closed ? INT64_MAX : meta.appliedLength);
 }
 
-void SegmentContainer::wakeFlushWaiters(SegmentId id) {
-    auto it = flushWaiters_.find(id);
-    if (it == flushWaiters_.end()) return;
-    const SegmentMeta* meta = findSegment(id);
+void SegmentContainer::wakeFlushWaiters(SegmentMeta& meta) {
+    retryParked(meta, meta.flushWaiters,
+                meta.props.deleted ? INT64_MAX : meta.props.storageLength);
+}
+
+void SegmentContainer::retryParked(SegmentMeta& meta, std::vector<PendingRead>& list,
+                                   int64_t limit) {
+    if (list.empty()) return;
     std::vector<PendingRead> ready;
-    auto& list = it->second;
-    for (auto wit = list.begin(); wit != list.end();) {
-        if (!meta || wit->offset < meta->props.storageLength) {
-            ready.push_back(std::move(*wit));
-            wit = list.erase(wit);
+    for (auto it = list.begin(); it != list.end();) {
+        if (it->offset < limit) {
+            ready.push_back(std::move(*it));
+            it = list.erase(it);
         } else {
-            ++wit;
+            ++it;
         }
     }
-    if (list.empty()) flushWaiters_.erase(it);
     for (auto& w : ready) {
-        attemptRead(id, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
+        attemptRead(meta, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
     }
 }
 
@@ -711,7 +717,11 @@ Bytes SegmentContainer::serializeCheckpoint() const {
         w.i64(meta.props.length);
         w.i64(meta.props.startOffset);
         w.i64(meta.props.storageLength);
-        attributes_.serialize(id, w);
+        w.varint(meta.attributes.size());
+        for (const auto& [attribute, value] : meta.attributes) {
+            w.u64(attribute);
+            w.i64(value);
+        }
         if (meta.props.isTable) meta.table.serialize(w);
     }
     return out;
@@ -743,8 +753,14 @@ Status SegmentContainer::restoreCheckpoint(BytesView snapshot) {
         meta.props.startOffset = startOffset.value();
         meta.props.storageLength = storageLength.value();
         meta.appliedLength = meta.props.length;
-        Status attrs = attributes_.deserialize(id.value(), r);
-        if (!attrs) return attrs;
+        auto attributes = r.varint();
+        if (!attributes) return attributes.status();
+        for (uint64_t a = 0; a < attributes.value(); ++a) {
+            auto attribute = r.u64();
+            auto value = r.i64();
+            if (!attribute || !value) return Status(Err::IoError, "corrupt attribute record");
+            meta.attributes[attribute.value()] = value.value();
+        }
         if (meta.props.isTable) {
             Status table = meta.table.deserialize(r);
             if (!table) return table;
@@ -777,7 +793,7 @@ void SegmentContainer::onSegmentFlushed(SegmentId id, int64_t newStorageLength) 
     if (!meta) return;
     meta->props.storageLength = std::max(meta->props.storageLength, newStorageLength);
     readIndex_.setStorageLength(id, meta->props.storageLength);
-    wakeFlushWaiters(id);
+    wakeFlushWaiters(*meta);
 }
 
 void SegmentContainer::onStorageProgress() {
@@ -788,21 +804,23 @@ void SegmentContainer::onStorageProgress() {
 
 sim::Future<ReadResult> SegmentContainer::read(SegmentId id, int64_t offset, int64_t maxBytes) {
     if (offline_) return sim::Future<ReadResult>::failed(Status(Err::ContainerOffline, ""));
+    SegmentMeta* meta = findSegment(id);
+    if (!meta) return sim::Future<ReadResult>::failed(Status(Err::NotFound, "no such segment"));
     sim::Promise<ReadResult> p;
     auto fut = p.future();
-    attemptRead(id, offset, maxBytes, std::move(p), 0, /*counted=*/false);
+    attemptRead(*meta, offset, maxBytes, std::move(p), 0, /*counted=*/false);
     return fut;
 }
 
-void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxBytes,
+void SegmentContainer::attemptRead(SegmentMeta& meta, int64_t offset, int64_t maxBytes,
                                    sim::Promise<ReadResult> promise, int depth, bool counted) {
-    SegmentMeta* meta = findSegment(id);
-    if (!meta) {
+    // A retry can find its segment deleted since the read parked.
+    if (meta.props.deleted) {
         promise.setError(Err::NotFound, "no such segment");
         return;
     }
-    auto outcome = readIndex_.read(id, offset, maxBytes, meta->appliedLength,
-                                   meta->props.startOffset);
+    auto outcome = readIndex_.read(meta.props.id, offset, maxBytes, meta.appliedLength,
+                                   meta.props.startOffset);
     if (!outcome) {
         promise.setError(outcome.status());
         return;
@@ -817,16 +835,16 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         res.data = std::move(hit->data);
         res.offset = offset;
         res.endOfSegment =
-            meta->props.sealed &&
-            offset + static_cast<int64_t>(res.data.size()) >= meta->appliedLength;
+            meta.props.sealed &&
+            offset + static_cast<int64_t>(res.data.size()) >= meta.appliedLength;
         int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
-        consumePrefetched(id, offset, readEnd);
-        noteSequentialHit(id, offset, readEnd, *meta);
+        consumePrefetched(meta, offset, readEnd);
+        noteSequentialHit(meta, offset, readEnd);
         std::move(promise).complete(std::move(res));
         return;
     }
     if (std::holds_alternative<ReadAtTail>(outcome.value())) {
-        if (meta->props.sealed) {
+        if (meta.props.sealed) {
             ReadResult res;
             res.offset = offset;
             res.endOfSegment = true;
@@ -838,18 +856,8 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         // The wait itself is neither a hit nor a miss — `counted` rides
         // along so the woken retry attributes the read at its resolution.
         mTailWaits_.inc();
-        TailWaiter waiter;
-        waiter.offset = offset;
-        auto wake = waiter.wake.future();
-        tailWaiters_[id].push_back(std::move(waiter));
-        wake.onComplete([this, id, offset, maxBytes, promise, depth,
-                         counted](const Result<sim::Unit>& r) mutable {
-            if (!r.isOk()) {
-                promise.setError(r.status());
-                return;
-            }
-            attemptRead(id, offset, maxBytes, std::move(promise), depth + 1, counted);
-        });
+        meta.tailWaiters.push_back(
+            PendingRead{offset, maxBytes, std::move(promise), depth, counted});
         return;
     }
 
@@ -865,41 +873,35 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
     }
     // A demand miss over a range we prefetched means the prefetch was
     // evicted before use — charge it as waste.
-    chargeWastedPrefetch(id, miss.offset, miss.offset + miss.length);
+    chargeWastedPrefetch(meta, miss.offset, miss.offset + miss.length);
 
     // Coalesce onto an in-flight fetch already covering the miss offset:
     // this reader rides that fetch instead of issuing its own.
-    auto sit = inflightFetches_.find(id);
-    if (sit != inflightFetches_.end()) {
-        auto next = sit->second.upper_bound(miss.offset);
-        if (next != sit->second.begin()) {
-            auto prev = std::prev(next);
-            if (prev->second.end > miss.offset) {
-                mReadCoalesced_.inc();
-                prev->second.waiters.push_back(
-                    PendingRead{offset, maxBytes, std::move(promise), depth, counted});
-                return;
-            }
-        }
-    }
-
     int64_t start = miss.offset;
     int64_t end = miss.offset + miss.length;
-    // Clip against the next in-flight fetch so fetched ranges never overlap.
-    if (sit != inflightFetches_.end()) {
-        auto next = sit->second.upper_bound(start);
-        if (next != sit->second.end() && next->first < end) end = next->first;
+    auto next = meta.fetches.upper_bound(start);
+    if (next != meta.fetches.begin()) {
+        auto prev = std::prev(next);
+        if (prev->second.end > start) {
+            mReadCoalesced_.inc();
+            prev->second.waiters.push_back(
+                PendingRead{offset, maxBytes, std::move(promise), depth, counted});
+            return;
+        }
     }
+    // Clip against the next in-flight fetch so fetched ranges never overlap.
+    if (next != meta.fetches.end() && next->first < end) end = next->first;
     PendingRead demand{offset, maxBytes, std::move(promise), depth, counted};
-    int64_t fetched = startFetch(id, start, end, /*prefetch=*/false, &demand);
-    if (cfg_.readPipeline.readahead && fetched > start) {
-        if (SegmentMeta* m = findSegment(id)) maybePrefetch(id, fetched, *m);
+    int64_t fetched = startFetch(meta, start, end, /*prefetch=*/false, &demand);
+    // The fetch's callbacks may have deleted the segment meanwhile.
+    if (cfg_.readPipeline.readahead && fetched > start && !meta.props.deleted) {
+        maybePrefetch(meta, fetched);
     }
 }
 
-int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, bool prefetch,
-                                     PendingRead* demand) {
-    const auto& rp = cfg_.readPipeline;
+int64_t SegmentContainer::startFetch(SegmentMeta& meta, int64_t start, int64_t end,
+                                     bool prefetch, PendingRead* demand) {
+    SegmentId id = meta.props.id;
     auto chunks = storageWriter_->findChunks(id, start, end - start);
     // Build contiguous per-chunk pieces covering [start, ...), bounded by
     // the parallel-fetch fan-out cap. A gap (or a range past the flushed
@@ -922,13 +924,12 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
                                static_cast<uint64_t>(pieceEnd - cursor)});
         cursor = pieceEnd;
         if (cursor >= end) break;
-        if (static_cast<int>(pieces.size()) >= rp.maxParallelChunkFetches) break;
+        if (static_cast<int>(pieces.size()) >= kMaxParallelChunkFetches) break;
     }
     if (pieces.empty()) {
         if (!demand) return start;
-        const SegmentMeta* meta = findSegment(id);
-        if (meta && !meta->props.isTable && start >= meta->props.storageLength) {
-            flushWaiters_[id].push_back(std::move(*demand));
+        if (!meta.props.isTable && start >= meta.props.storageLength) {
+            meta.flushWaiters.push_back(std::move(*demand));
         } else {
             demand->promise.setError(Err::IoError, "chunk metadata inconsistent with read index");
         }
@@ -936,7 +937,7 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
     }
     int64_t fetchEnd = cursor;
 
-    auto& entry = inflightFetches_[id][start];
+    auto& entry = meta.fetches[start];
     entry.end = fetchEnd;
     entry.prefetch = prefetch;
     entry.piecesRemaining = static_cast<int>(pieces.size());
@@ -963,17 +964,18 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
                 } else {
                     st = r.status();
                 }
-                finishFetchPiece(id, start, st);
+                // The record outlives a Delete as a tombstone, whose fetch
+                // table the Delete emptied.
+                auto it = segments_.find(id);
+                if (it != segments_.end()) finishFetchPiece(it->second, start, st);
             }));
     }
     return fetchEnd;
 }
 
-void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) {
-    auto sit = inflightFetches_.find(id);
-    if (sit == inflightFetches_.end()) return;
-    auto eit = sit->second.find(start);
-    if (eit == sit->second.end()) return;
+void SegmentContainer::finishFetchPiece(SegmentMeta& meta, int64_t start, Status st) {
+    auto eit = meta.fetches.find(start);
+    if (eit == meta.fetches.end()) return;
     InflightFetch& entry = eit->second;
     if (!st && entry.failure) entry.failure = st;  // keep the first failure
     if (--entry.piecesRemaining > 0) return;
@@ -981,8 +983,7 @@ void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) 
     // Fetch complete: detach the entry before waking waiters — their
     // retries may start new fetches on this segment.
     InflightFetch done = std::move(entry);
-    sit->second.erase(eit);
-    if (sit->second.empty()) inflightFetches_.erase(sit);
+    meta.fetches.erase(eit);
 
     if (done.prefetch) {
         uint64_t bytes = static_cast<uint64_t>(done.end - start);
@@ -991,7 +992,7 @@ void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) 
         if (done.failure) {
             // Record the landed range so later hits count as prefetch hits
             // and eviction-before-use lands on the waste counter.
-            auto& pf = readStates_[id].prefetched;
+            auto& pf = meta.readState.prefetched;
             int64_t s = start;
             int64_t e = done.end;
             auto it = pf.lower_bound(s);
@@ -1015,14 +1016,14 @@ void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) 
 
     for (auto& w : done.waiters) {
         if (done.failure) {
-            attemptRead(id, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
+            attemptRead(meta, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
         } else {
             w.promise.setError(done.failure);
         }
     }
 }
 
-void SegmentContainer::maybePrefetch(SegmentId id, int64_t from, const SegmentMeta& meta) {
+void SegmentContainer::maybePrefetch(SegmentMeta& meta, int64_t from) {
     const auto& rp = cfg_.readPipeline;
     if (!rp.readahead || offline_) return;
     // Only flushed data has chunks to prefetch from; the unflushed tail is
@@ -1034,47 +1035,37 @@ void SegmentContainer::maybePrefetch(SegmentId id, int64_t from, const SegmentMe
                    static_cast<int64_t>(rp.prefetchFetchBytes));
     int64_t cursor = from;
     while (cursor < horizon) {
-        cursor = readIndex_.contiguousEnd(id, cursor, horizon);  // skip cached runs
+        cursor = readIndex_.contiguousEnd(meta.props.id, cursor, horizon);  // skip cached runs
         if (cursor >= horizon) break;
-        if (cache_.utilization() >= rp.prefetchMaxCacheUtilization) break;
-        if (prefetchInflightBytes_ >= rp.prefetchBudgetBytes) break;
+        if (cache_.utilization() >= kPrefetchMaxCacheUtilization) break;
+        if (prefetchInflightBytes_ >= kPrefetchBudgetBytes) break;
         int64_t end = std::min(horizon, cursor + static_cast<int64_t>(rp.prefetchFetchBytes));
         // Skip past (or clip against) fetches already in flight.
-        bool covered = false;
-        auto sit = inflightFetches_.find(id);
-        if (sit != inflightFetches_.end()) {
-            auto next = sit->second.upper_bound(cursor);
-            if (next != sit->second.begin()) {
-                auto prev = std::prev(next);
-                if (prev->second.end > cursor) {
-                    cursor = prev->second.end;
-                    covered = true;
-                }
+        auto next = meta.fetches.upper_bound(cursor);
+        if (next != meta.fetches.begin()) {
+            auto prev = std::prev(next);
+            if (prev->second.end > cursor) {
+                cursor = prev->second.end;
+                continue;
             }
-            if (!covered && next != sit->second.end() && next->first < end) end = next->first;
         }
-        if (covered) continue;
+        if (next != meta.fetches.end() && next->first < end) end = next->first;
         if (end <= cursor) break;
-        int64_t got = startFetch(id, cursor, end, /*prefetch=*/true, nullptr);
+        int64_t got = startFetch(meta, cursor, end, /*prefetch=*/true, nullptr);
         if (got <= cursor) break;  // no chunk coverage yet: stop
         cursor = got;
     }
 }
 
-void SegmentContainer::noteSequentialHit(SegmentId id, int64_t offset, int64_t readEnd,
-                                         const SegmentMeta& meta) {
-    auto& state = readStates_[id];
+void SegmentContainer::noteSequentialHit(SegmentMeta& meta, int64_t offset, int64_t readEnd) {
+    auto& state = meta.readState;
     state.streak = offset == state.lastReadEnd ? state.streak + 1 : 1;
     state.lastReadEnd = readEnd;
-    if (state.streak >= cfg_.readPipeline.sequentialStreak) {
-        maybePrefetch(id, readEnd, meta);
-    }
+    if (state.streak >= cfg_.readPipeline.sequentialStreak) maybePrefetch(meta, readEnd);
 }
 
-bool SegmentContainer::consumePrefetched(SegmentId id, int64_t offset, int64_t readEnd) {
-    auto rit = readStates_.find(id);
-    if (rit == readStates_.end()) return false;
-    auto& pf = rit->second.prefetched;
+void SegmentContainer::consumePrefetched(SegmentMeta& meta, int64_t offset, int64_t readEnd) {
+    auto& pf = meta.readState.prefetched;
     bool any = false;
     auto it = pf.lower_bound(offset);
     if (it != pf.begin()) {
@@ -1093,13 +1084,11 @@ bool SegmentContainer::consumePrefetched(SegmentId id, int64_t offset, int64_t r
         }
     }
     if (any) mPrefetchHits_.inc();
-    return any;
 }
 
-void SegmentContainer::chargeWastedPrefetch(SegmentId id, int64_t missStart, int64_t missEnd) {
-    auto rit = readStates_.find(id);
-    if (rit == readStates_.end()) return;
-    auto& pf = rit->second.prefetched;
+void SegmentContainer::chargeWastedPrefetch(SegmentMeta& meta, int64_t missStart,
+                                            int64_t missEnd) {
+    auto& pf = meta.readState.prefetched;
     auto it = pf.lower_bound(missStart);
     if (it != pf.begin()) {
         auto prev = std::prev(it);
@@ -1122,15 +1111,11 @@ void SegmentContainer::chargeWastedPrefetch(SegmentId id, int64_t missStart, int
 // ----------------------------------------------------------- observation
 
 std::map<SegmentId, SegmentRate> SegmentContainer::drainRates() {
-    auto out = std::move(rates_);
-    rates_.clear();
-    return out;
-}
-
-std::vector<SegmentId> SegmentContainer::listSegments() const {
-    std::vector<SegmentId> out;
-    for (const auto& [id, meta] : segments_) {
-        if (!meta.props.deleted) out.push_back(id);
+    std::map<SegmentId, SegmentRate> out;
+    for (auto& [id, meta] : segments_) {
+        if (meta.rate.bytes != 0 || meta.rate.events != 0) {
+            out.emplace_hint(out.end(), id, std::exchange(meta.rate, SegmentRate{}));
+        }
     }
     return out;
 }

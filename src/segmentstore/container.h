@@ -22,7 +22,6 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "lts/chunk_storage.h"
-#include "segmentstore/attribute_index.h"
 #include "segmentstore/cache.h"
 #include "segmentstore/operations.h"
 #include "segmentstore/read_index.h"
@@ -38,7 +37,6 @@
 namespace pravega::segmentstore {
 
 struct ContainerConfig {
-    uint64_t maxFrameBytes = 1024 * 1024;       // paper §4.1: e.g. 1 MB frames
     sim::Duration maxBatchDelay = sim::msec(20);  // bound on the delay formula
     uint64_t checkpointEveryOps = 4000;
     uint64_t checkpointEveryBytes = 32 * 1024 * 1024;
@@ -55,9 +53,6 @@ struct ContainerConfig {
     uint64_t throttleFullSegmentBytes = 256ULL * 1024 * 1024;
     sim::Duration maxThrottleDelay = sim::msec(500);
 
-    /// Cache policy cadence (read-index eviction).
-    sim::Duration cachePolicyInterval = sim::msec(250);
-
     /// Storage read pipeline (§4.2, §5.7): coalesced LTS fetches, parallel
     /// multi-chunk demand fetches, and budget-bounded segment readahead for
     /// catch-up readers.
@@ -69,15 +64,6 @@ struct ContainerConfig {
         int prefetchWindows = 4;
         /// Size of each prefetch fetch window.
         uint64_t prefetchFetchBytes = 4 * 1024 * 1024;
-        /// Cap on in-flight prefetch bytes per container.
-        uint64_t prefetchBudgetBytes = 32 * 1024 * 1024;
-        /// Prefetch stops above this cache utilization so readahead can
-        /// never push the cache into evicting the live tail (§4.2 policy
-        /// evicts only below the storage watermark; this margin keeps
-        /// prefetch from forcing those evictions either).
-        double prefetchMaxCacheUtilization = 0.75;
-        /// Fan-out bound for one demand miss spanning chunk boundaries.
-        int maxParallelChunkFetches = 8;
         /// Sequential depth-0 hits in a row that trigger readahead.
         int sequentialStreak = 2;
     };
@@ -167,9 +153,15 @@ public:
     /// decrease as a fresh instance.
     uint64_t totalBytesIn() const { return cumBytes_; }
     uint64_t totalEventsIn() const { return cumEvents_; }
-    const std::map<SegmentId, SegmentRate>& cumulativeRates() const { return cumRates_; }
+    /// The same totals per segment: calls `fn(SegmentId, const
+    /// SegmentRate&)` in SegmentId order for every segment with ingest.
+    template <typename F>
+    void forEachCumulativeRate(F&& fn) const {
+        for (const auto& [id, meta] : segments_) {
+            if (meta.cumRate.bytes != 0 || meta.cumRate.events != 0) fn(id, meta.cumRate);
+        }
+    }
 
-    std::vector<SegmentId> listSegments() const;
     uint64_t appliedOps() const { return appliedOps_; }
     int64_t lastAppliedSequence() const { return lastAppliedSeq_; }
     uint64_t walTruncations() const { return walTruncations_; }
@@ -188,11 +180,6 @@ public:
     void onStorageProgress();
 
 private:
-    struct SegmentMeta {
-        SegmentProperties props;
-        int64_t appliedLength = 0;  // readable prefix (apply-time)
-        TableIndex table;           // only for isTable segments
-    };
     /// Runs once an op is applied (its offset) or has failed.
     using Completion = sim::Callback<void(Result<int64_t>)>;
     struct PendingFrame {
@@ -201,12 +188,10 @@ private:
         uint64_t bytes = 0;
         sim::TimePoint openedAt = 0;  // first op's enqueue time (trace stage)
     };
-    struct TailWaiter {
-        int64_t offset;
-        sim::Promise<sim::Unit> wake;
-    };
-    /// A read parked on an in-flight LTS fetch (the original misser and any
-    /// coalesced riders); re-attempted when the fetch lands.
+    /// A read parked until something changes: new data at the tail, a
+    /// flush past its offset, or an in-flight LTS fetch landing (the
+    /// original misser and any coalesced riders). Retried through
+    /// attemptRead, or failed with the container's shutdown status.
     struct PendingRead {
         int64_t offset;
         int64_t maxBytes;
@@ -230,9 +215,34 @@ private:
         int streak = 0;
         std::map<int64_t, int64_t> prefetched;  // inserted, unconsumed ranges
     };
+    /// Everything the container knows about one segment. A deleted segment
+    /// stays as a tombstone (`props.deleted`) whose parked reads, fetches,
+    /// readahead state and attributes are dropped when its Delete applies;
+    /// its rate counters stay until drained. A checkpoint restore replaces
+    /// every record (tombstones are not checkpointed).
+    struct SegmentMeta {
+        SegmentProperties props;
+        int64_t appliedLength = 0;  // readable prefix (apply-time)
+        TableIndex table;           // only for isTable segments
+        /// Writer attributes (§3.2): writer id -> last event number.
+        std::map<AttributeId, int64_t> attributes;
+        SegmentRate rate;     // since the last drainRates()
+        SegmentRate cumRate;  // since this instance started (replay excluded)
+        std::vector<PendingRead> tailWaiters;  // reads at the tail, woken by appends
+        /// Demand reads that missed at or above storageLength with no chunk
+        /// to fetch: the bytes are only in the storage writer's queue (the
+        /// cache had no room for them). Retried once a flush passes them.
+        std::vector<PendingRead> flushWaiters;
+        std::map<int64_t, InflightFetch> fetches;  // fetch start offset -> fetch
+        SegmentReadState readState;
+    };
 
+    /// The live record for `id`; null when absent or deleted.
     SegmentMeta* findSegment(SegmentId id);
     const SegmentMeta* findSegment(SegmentId id) const;
+    /// (Re)creates the record for `id` with fresh metadata. Re-creating a
+    /// tombstone keeps the rest of its record.
+    SegmentMeta& resetSegment(SegmentId id, std::string name, bool isTable);
 
     /// Admission gate: serializes op processing and applies throttling.
     /// Runs `fn` at once unless throttled, so the unthrottled path erases
@@ -248,24 +258,26 @@ private:
     void maybeCheckpoint();
     Bytes serializeCheckpoint() const;
     Status restoreCheckpoint(BytesView snapshot);
-    void wakeTailWaiters(SegmentId id);
-    void wakeFlushWaiters(SegmentId id);
+    void wakeTailWaiters(SegmentMeta& meta);
+    void wakeFlushWaiters(SegmentMeta& meta);
+    /// Moves every read parked on `list` with an offset below `limit` off
+    /// it, then retries them in parking order.
+    void retryParked(SegmentMeta& meta, std::vector<PendingRead>& list, int64_t limit);
     void failAllPending(Status error);
-    void attemptRead(SegmentId id, int64_t offset, int64_t maxBytes,
+    void attemptRead(SegmentMeta& meta, int64_t offset, int64_t maxBytes,
                      sim::Promise<ReadResult> promise, int depth, bool counted);
     /// Starts an LTS fetch for [start, end) (parallel per-chunk pieces,
-    /// capped at maxParallelChunkFetches). `demand` (when non-null) becomes
+    /// capped at kMaxParallelChunkFetches). `demand` (when non-null) becomes
     /// the fetch's first waiter; on setup failure its promise is failed.
     /// Returns the end of the range actually being fetched (`start` when no
     /// fetch could be started, e.g. no chunks cover the range yet).
-    int64_t startFetch(SegmentId id, int64_t start, int64_t end, bool prefetch,
+    int64_t startFetch(SegmentMeta& meta, int64_t start, int64_t end, bool prefetch,
                        PendingRead* demand);
-    void finishFetchPiece(SegmentId id, int64_t start, Status st);
-    void maybePrefetch(SegmentId id, int64_t from, const SegmentMeta& meta);
-    void noteSequentialHit(SegmentId id, int64_t offset, int64_t readEnd,
-                           const SegmentMeta& meta);
-    bool consumePrefetched(SegmentId id, int64_t offset, int64_t readEnd);
-    void chargeWastedPrefetch(SegmentId id, int64_t missStart, int64_t missEnd);
+    void finishFetchPiece(SegmentMeta& meta, int64_t start, Status st);
+    void maybePrefetch(SegmentMeta& meta, int64_t from);
+    void noteSequentialHit(SegmentMeta& meta, int64_t offset, int64_t readEnd);
+    void consumePrefetched(SegmentMeta& meta, int64_t offset, int64_t readEnd);
+    void chargeWastedPrefetch(SegmentMeta& meta, int64_t missStart, int64_t missEnd);
     void truncateWalIfPossible();
 
     sim::Core& exec_;
@@ -277,7 +289,6 @@ private:
 
     std::unique_ptr<wal::LogClient> log_;
     ReadIndex readIndex_;
-    AttributeIndex attributes_;
     std::unique_ptr<StorageWriter> storageWriter_;
 
     std::map<SegmentId, SegmentMeta> segments_;
@@ -304,21 +315,9 @@ private:
     uint64_t walTruncations_ = 0;
     uint64_t checkpointsWritten_ = 0;
 
-    std::map<SegmentId, std::vector<TailWaiter>> tailWaiters_;
-    // Demand reads that missed at or above storageLength with no chunk to
-    // fetch: the bytes are only in the storage writer's queue (the cache
-    // had no room for them). Retried once a flush passes their offset.
-    std::map<SegmentId, std::vector<PendingRead>> flushWaiters_;
-    std::map<SegmentId, SegmentRate> rates_;
-    std::map<SegmentId, SegmentRate> cumRates_;
     uint64_t cumBytes_ = 0;
     uint64_t cumEvents_ = 0;
-
-    // Storage read pipeline: in-flight fetch table (fetch start offset ->
-    // fetch) and per-segment readahead state.
-    std::map<SegmentId, std::map<int64_t, InflightFetch>> inflightFetches_;
-    std::map<SegmentId, SegmentReadState> readStates_;
-    uint64_t prefetchInflightBytes_ = 0;
+    uint64_t prefetchInflightBytes_ = 0;  // across every segment's fetches
 
     uint64_t appliedOps_ = 0;
     bool offline_ = true;  // start() brings the container online

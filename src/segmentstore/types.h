@@ -25,6 +25,10 @@ using WriterId = uint64_t;
 /// the attribute key space (segment attributes, §3.2).
 using AttributeId = uint64_t;
 
+/// Reserved attribute value meaning "attribute absent" (mirrors Pravega's
+/// Attributes.NULL_ATTRIBUTE_VALUE).
+constexpr int64_t kNullValue = INT64_MIN;
+
 struct SegmentProperties {
     SegmentId id = 0;
     std::string name;

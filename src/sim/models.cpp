@@ -10,12 +10,6 @@ QueuedResource::QueuedResource(Core& exec, int lanes) : exec_(exec) {
     laneFree_.assign(static_cast<size_t>(lanes), 0);
 }
 
-TimePoint QueuedResource::earliestStart() const {
-    TimePoint earliest = laneFree_[0];
-    for (TimePoint t : laneFree_) earliest = std::min(earliest, t);
-    return std::max(earliest, exec_.now());
-}
-
 Duration QueuedResource::backlog() const {
     Duration total = 0;
     for (TimePoint t : laneFree_) total += std::max<Duration>(0, t - exec_.now());
@@ -119,15 +113,6 @@ void Link::degrade(Duration extraLatency, double bandwidthFactor, Duration durat
     degradeExtraLatency_ = extraLatency;
     degradeBandwidthFactor_ = bandwidthFactor > 0 ? bandwidthFactor : 1.0;
     degradeUntil_ = exec_.now() + duration;
-}
-
-void Link::clearFaults() {
-    partitioned_ = false;
-    lossProbability_ = 0.0;
-    dropNext_ = 0;
-    degradeExtraLatency_ = 0;
-    degradeBandwidthFactor_ = 1.0;
-    degradeUntil_ = 0;
 }
 
 ObjectStoreModel::ObjectStoreModel(Core& exec, Config cfg)

@@ -31,9 +31,6 @@ public:
     /// Occupies a lane for `work` time; the future completes when done.
     Future<Unit> acquire(Duration work);
 
-    /// Earliest time a new request could start (for monitoring/backpressure).
-    TimePoint earliestStart() const;
-
     /// Total queued-but-unfinished work (for backpressure decisions).
     Duration backlog() const;
 
@@ -129,7 +126,6 @@ public:
     /// Until `duration` from now, adds `extraLatency` to propagation and
     /// multiplies bandwidth by `bandwidthFactor` (in (0, 1]).
     void degrade(Duration extraLatency, double bandwidthFactor, Duration duration);
-    void clearFaults();
 
     uint64_t bytesSent() const { return bytesSent_; }
     uint64_t droppedMessages() const { return drops_.total(); }

@@ -91,10 +91,4 @@ uint64_t ArrivalProcess::arrivalsIn(sim::TimePoint from, sim::Duration dt) {
     return total;
 }
 
-double ArrivalProcess::currentRate(sim::TimePoint at) const {
-    double factor = cfg_.diurnal.factorAt(at);
-    if (cfg_.kind == Kind::Mmpp) factor *= factorNorm_ * cfg_.stateFactors[state_];
-    return cfg_.eventsPerSec * factor;
-}
-
 }  // namespace pravega::workload

@@ -59,9 +59,6 @@ public:
     /// Arrivals in [from, from+dt); advances MMPP state through the window.
     uint64_t arrivalsIn(sim::TimePoint from, sim::Duration dt);
 
-    /// Instantaneous rate (state factor × diurnal factor × mean).
-    double currentRate(sim::TimePoint at) const;
-
     const Config& config() const { return cfg_; }
 
 private:

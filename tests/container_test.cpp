@@ -163,7 +163,7 @@ TEST_F(ContainerFixture, WritersTrackedIndependently) {
     appendSync(*c, kSeg, "b", 2, 3);
     EXPECT_EQ(c->getWriterLastEventNumber(kSeg, 1), 5);
     EXPECT_EQ(c->getWriterLastEventNumber(kSeg, 2), 3);
-    EXPECT_EQ(c->getWriterLastEventNumber(kSeg, 3), AttributeIndex::kNullValue);
+    EXPECT_EQ(c->getWriterLastEventNumber(kSeg, 3), kNullValue);
 }
 
 TEST_F(ContainerFixture, ConditionalAppend) {
@@ -422,8 +422,11 @@ TEST_F(ContainerFixture, RecoveryAfterCheckpointAndTruncation) {
         auto c = makeContainer(1, cfg);
         c->createSegment(kSeg, "s");
         exec.runUntilIdle();
+        // Writer 42's appends all precede the later checkpoints, so after
+        // the WAL truncation only a checkpoint still holds its attribute.
         for (int i = 0; i < 60; ++i) {
-            c->append(kSeg, payload("0123456789"), 0, -1, 1);
+            WriterId writer = i < 30 ? 42 : 0;
+            c->append(kSeg, payload("0123456789"), writer, writer != 0 ? i : -1, 1);
             exec.runFor(sim::msec(10));
         }
         exec.runFor(sim::sec(2));  // flush + checkpoint + truncate
@@ -433,6 +436,7 @@ TEST_F(ContainerFixture, RecoveryAfterCheckpointAndTruncation) {
     auto info = fresh->getInfo(kSeg);
     ASSERT_TRUE(info.isOk());
     EXPECT_EQ(info.value().length, 600);
+    EXPECT_EQ(fresh->getWriterLastEventNumber(kSeg, 42), 29);
     // All data readable: the pre-truncation prefix comes from LTS.
     Bytes all = readSync(*fresh, kSeg, 0, 600);
     size_t got = all.size();
@@ -559,6 +563,28 @@ TEST_F(ContainerFixture, DrainRatesReportsPerSegmentTraffic) {
     EXPECT_EQ(rates[segB].bytes, 5u);
     // Draining resets the counters.
     EXPECT_TRUE(c->drainRates().empty());
+
+    // The cumulative totals survive the drain and keep counting.
+    appendSync(*c, kSeg, "abc");
+    EXPECT_EQ(c->drainRates()[kSeg].bytes, 3u);
+    std::map<SegmentId, SegmentRate> cum;
+    c->forEachCumulativeRate([&](SegmentId seg, const SegmentRate& r) { cum[seg] = r; });
+    ASSERT_EQ(cum.size(), 2u);
+    EXPECT_EQ(cum[kSeg].bytes, 13u);
+    EXPECT_EQ(cum[kSeg].events, 2u);
+    EXPECT_EQ(cum[segB].bytes, 5u);
+    EXPECT_EQ(c->totalBytesIn(), 18u);
+    EXPECT_EQ(c->totalEventsIn(), 3u);
+
+    // WAL replay adds nothing: a recovered instance starts from zero.
+    auto fresh = makeContainer(1, fastConfig());
+    ASSERT_EQ(fresh->getInfo(kSeg).value().length, 13);
+    EXPECT_TRUE(fresh->drainRates().empty());
+    int visited = 0;
+    fresh->forEachCumulativeRate([&](SegmentId, const SegmentRate&) { ++visited; });
+    EXPECT_EQ(visited, 0);
+    EXPECT_EQ(fresh->totalBytesIn(), 0u);
+    EXPECT_EQ(fresh->totalEventsIn(), 0u);
 }
 
 /// Wraps a chunk store and defers read completion by a fixed virtual-time
@@ -834,6 +860,63 @@ TEST_F(ContainerFixture, ReadAboveStorageLengthWaitsForFlushUnderCachePressure) 
     exec.runFor(sim::sec(10));  // the scan timer is weak: runUntilIdle would stop it
     EXPECT_TRUE(failures.empty()) << failures.size() << " reads failed, first: " << failures[0];
     EXPECT_EQ(verified, 2 * kLength);
+}
+
+TEST_F(ContainerFixture, DeleteResolvesEveryParkedRead) {
+    // One segment holds a read of each parked kind when it is deleted: a
+    // tail reader, a reader waiting on a delayed LTS fetch, and a read in a
+    // cache hole above storageLength waiting for a flush that an LTS append
+    // outage holds back. The Delete must resolve all three with NotFound.
+    BlockCache::Config tiny;
+    tiny.blockSize = 4096;
+    tiny.blocksPerBuffer = 4;
+    tiny.maxBuffers = 16;
+    BlockCache smallCache(tiny);
+    lts::FaultInjectionChunkStorage::Config faults;
+    faults.failOps = lts::FaultInjectionChunkStorage::kAppend;
+    lts::FaultInjectionChunkStorage flaky(exec, lts, faults);
+    DelayedChunkStorage slowReads(exec, flaky, sim::msec(50));
+    auto cfg = fastConfig();
+    cfg.readPipeline.readahead = false;  // no prefetch fetches of its own
+    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, slowReads, smallCache, cfg);
+    ASSERT_TRUE(c->start().isOk());
+    c->createSegment(kSeg, "s");
+    exec.runUntilIdle();
+
+    constexpr int64_t kFlushed = 128 * 1024;  // one whole read-index entry: evictable
+    appendSync(*c, kSeg, std::string(kFlushed, 'A'));
+    exec.runFor(sim::sec(1));
+    ASSERT_EQ(c->getInfo(kSeg).value().storageLength, kFlushed);
+
+    // With flushes failing, 512 KB of unflushed appends overflow the 256 KB
+    // cache: the flushed head is evicted and later appends leave holes.
+    flaky.startOutage(sim::sec(3600));
+    constexpr int64_t kAppend = 4096;
+    constexpr int64_t kLength = kFlushed + 512 * 1024;
+    for (int64_t off = kFlushed; off < kLength; off += kAppend) {
+        appendSync(*c, kSeg, std::string(kAppend, 'B'));
+    }
+    exec.runFor(sim::sec(1));  // cache policy runs
+    ASSERT_EQ(c->getInfo(kSeg).value().storageLength, kFlushed);
+
+    auto fetchRider = c->read(kSeg, 0, 100);  // evicted head: LTS fetch in flight
+    ASSERT_FALSE(fetchRider.isReady());
+    sim::Future<ReadResult> flushParked;  // first hole above storageLength
+    for (int64_t off = kFlushed; off < kLength && !flushParked.valid(); off += kAppend) {
+        auto fut = c->read(kSeg, off, 100);
+        if (!fut.isReady()) flushParked = fut;
+    }
+    ASSERT_TRUE(flushParked.valid()) << "no cache hole above storageLength";
+    auto tailReader = c->read(kSeg, kLength, 100);
+    ASSERT_FALSE(tailReader.isReady());
+
+    c->deleteSegment(kSeg);
+    exec.runUntilIdle();
+    for (auto* fut : {&fetchRider, &flushParked, &tailReader}) {
+        ASSERT_TRUE(fut->isReady());
+        EXPECT_EQ(fut->result().code(), Err::NotFound) << fut->result().status().toString();
+    }
+    flaky.endOutage();
 }
 
 TEST_F(ContainerFixture, StorageWriterIndexesMatchBruteForce) {
