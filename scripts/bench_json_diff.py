@@ -14,7 +14,8 @@ import sys
 
 # Columns measured in real time, so they differ between same-seed runs.
 # Every other column derives from virtual time or fixed inputs.
-WALL_CLOCK = ("events_per_sec", "crc32_mbps", "encode_mbps", "ns_per_byte_256kb",
+WALL_CLOCK = ("events_per_sec", "crc32_mbps", "crc32_table_mbps", "encode_mbps",
+              "ns_per_byte_256kb",
               "ns_per_byte_4mb", "lts_append_ratio", "ns_per_append_16seg",
               "ns_per_append_4096seg", "segment_scaling_ratio")
 

@@ -235,11 +235,12 @@ def check_micro_core(path, doc):
     if len(codec) != 1:
         fail(path, f"micro_core needs exactly one codec row, got {len(codec)}")
     values = codec[0]["values"]
-    for key in ("crc32_mbps", "encode_mbps", "stored_bytes", "crc32", "crc32_folded"):
+    for key in ("crc32_mbps", "crc32_table_mbps", "encode_mbps", "stored_bytes", "crc32",
+                "crc32_folded"):
         if key not in values:
             fail(path, f"codec row missing {key!r}")
         check_number(path, values[key], f"codec.values.{key}")
-    for key in ("crc32_mbps", "encode_mbps", "stored_bytes"):
+    for key in ("crc32_mbps", "crc32_table_mbps", "encode_mbps", "stored_bytes"):
         if values[key] <= 0:
             fail(path, f"codec {key} must be positive: {values[key]!r}")
     if not 0 <= values["crc32"] < 2**32 or values["crc32"] != int(values["crc32"]):

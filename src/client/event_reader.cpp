@@ -126,7 +126,6 @@ std::optional<EventRead> EventReader::pollEvent() {
         auto payload = stream->readNextEvent();
         if (payload) {
             rrLast_ = seg;
-            ++eventsRead_;
             if (!mEvents_) mEvents_ = &exec_.metrics().counter("client.reader.events");
             mEvents_->inc();
             return EventRead{std::move(*payload), seg, stream->position()};

@@ -42,7 +42,6 @@ public:
 
     const std::string& name() const { return name_; }
     size_t assignedSegments() const { return streams_.size(); }
-    uint64_t eventsRead() const { return eventsRead_; }
 
 private:
     void syncTick();
@@ -67,7 +66,6 @@ private:
     sim::TimePoint waitStart_ = 0;  // when waiting_ was parked (trace stage)
     SegmentId rrLast_ = 0;  // round-robin cursor across assigned segments
     bool updateInFlight_ = false;
-    uint64_t eventsRead_ = 0;
     // Instruments looked up at first use, so an idle reader adds nothing to
     // the registry dump.
     obs::Counter* mEvents_ = nullptr;                // client.reader.events

@@ -131,7 +131,6 @@ void EventWriter::rerouteWhenReady(SegmentId segment,
         }
         return;
     }
-    rerouted_ += queue.size();
     exec_.metrics().counter("client.writer.rerouted").inc(queue.size());
     for (auto& e : queue) {
         SegmentOutputStream* stream = streamForHash(e.keyHash);

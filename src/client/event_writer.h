@@ -38,9 +38,7 @@ public:
     void flush();
 
     WriterId id() const { return writerId_; }
-    size_t activeStreams() const { return streams_.size(); }
     uint64_t eventsWritten() const { return eventsWritten_; }
-    uint64_t rerouted() const { return rerouted_; }
 
     /// Test hook: drop and re-establish every segment connection.
     void simulateReconnect();
@@ -69,7 +67,6 @@ private:
     std::map<SegmentId, std::vector<SegmentOutputStream::ResendEvent>> rerouting_;
     sim::Rng rng_;
     uint64_t eventsWritten_ = 0;
-    uint64_t rerouted_ = 0;
     /// `client.writer.events_submitted`, looked up at the first event so a
     /// writer that never writes adds nothing to the registry dump.
     obs::Counter* mSubmitted_ = nullptr;

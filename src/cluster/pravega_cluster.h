@@ -158,9 +158,6 @@ public:
     /// The codec decorator, or nullptr when `compressLts` is off.
     lts::CodecChunkStorage* codecLts() { return codecLts_.get(); }
 
-    /// The archive tier, or nullptr when `archiveLts` is off.
-    lts::ArchiveTierChunkStorage* archiveTier() { return archiveLts_.get(); }
-
     /// Runs the simulation for the given virtual duration / until idle.
     void runFor(sim::Duration d) { machine_.runFor(d); }
     uint64_t runUntilIdle() { return machine_.runUntilIdle(); }

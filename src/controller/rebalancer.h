@@ -64,10 +64,6 @@ public:
     /// a tick has seen traffic above the idle floor).
     double lastRatio() const { return lastRatio_; }
 
-    /// Per-store ingest (B/s) from the most recent tick, indexed like the
-    /// constructor's store list.
-    const std::vector<double>& lastStoreLoads() const { return lastLoads_; }
-
 private:
     void tick();
 

@@ -76,7 +76,6 @@ public:
 
     const std::string& name() const { return name_; }
     const StreamConfig& config() const { return config_; }
-    void updateConfig(const StreamConfig& cfg) { config_ = cfg; }
 
     const EpochRecord& currentEpoch() const { return epochs_.back(); }
     const std::vector<EpochRecord>& epochs() const { return epochs_; }

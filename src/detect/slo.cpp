@@ -44,19 +44,6 @@ bool isLatencyAgg(SloRule::Agg agg) {
 
 }  // namespace
 
-const char* SloRule::aggName(Agg agg) {
-    switch (agg) {
-        case Agg::P50: return "p50";
-        case Agg::P95: return "p95";
-        case Agg::P99: return "p99";
-        case Agg::Mean: return "mean";
-        case Agg::Max: return "max";
-        case Agg::Rate: return "rate";
-        case Agg::Value: return "value";
-    }
-    return "unknown";
-}
-
 Result<SloRule> SloRule::parse(const std::string& text) {
     SloRule rule;
     rule.text = trim(text);

@@ -54,7 +54,6 @@ struct SloRule {
     sim::Duration window = 0;      // trailing window ("for W")
 
     static Result<SloRule> parse(const std::string& text);
-    static const char* aggName(Agg agg);
 };
 
 /// End-of-run verdict for one rule. `worst` is the most-violating value

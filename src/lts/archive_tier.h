@@ -90,7 +90,6 @@ public:
 
     uint64_t archivedChunks() const { return archivedChunks_; }
     uint64_t archivedBytes() const { return archivedBytes_; }
-    uint64_t primaryBytes() const { return primaryBytes_; }
     uint64_t archiveReads() const { return archReadOps_; }
     const sim::TapeLibraryModel& tape() const { return tape_; }
     const Config& config() const { return cfg_; }

@@ -223,7 +223,11 @@ void SegmentContainer::admit(F fn) {
 sim::Future<sim::Unit> SegmentContainer::createSegment(SegmentId id, std::string name,
                                                        bool isTable) {
     if (offline_) return sim::Future<sim::Unit>::failed(Status(Err::ContainerOffline, ""));
-    if (findSegment(id)) return sim::Future<sim::Unit>::failed(Status(Err::AlreadyExists, name));
+    auto existing = segments_.find(id);
+    if (existing != segments_.end() &&
+        (!existing->second.props.deleted || existing->second.deleteQueued)) {
+        return sim::Future<sim::Unit>::failed(Status(Err::AlreadyExists, name));
+    }
     resetSegment(id, name, isTable);
 
     Operation op;
@@ -364,6 +368,8 @@ sim::Future<sim::Unit> SegmentContainer::deleteSegment(SegmentId id) {
     SegmentMeta* meta = findSegment(id);
     if (!meta) return sim::Future<sim::Unit>::failed(Status(Err::NotFound, ""));
     meta->props.deleted = true;
+    meta->deleteQueued = true;
+    dropChunkRecords(id);
 
     Operation op;
     op.type = OpType::Delete;
@@ -396,7 +402,8 @@ int64_t SegmentContainer::getWriterLastEventNumber(SegmentId id, WriterId writer
 }
 
 sim::Future<std::vector<int64_t>> SegmentContainer::tableUpdate(SegmentId id,
-                                                                std::vector<TableUpdate> batch) {
+                                                                std::vector<TableUpdate> batch,
+                                                                std::vector<int64_t>* applied) {
     using Out = std::vector<int64_t>;
     if (offline_) return sim::Future<Out>::failed(Status(Err::ContainerOffline, ""));
     SegmentMeta* meta = findSegment(id);
@@ -408,6 +415,7 @@ sim::Future<std::vector<int64_t>> SegmentContainer::tableUpdate(SegmentId id,
     Status valid = meta->table.validate(batch);
     if (!valid) return sim::Future<Out>::failed(valid);
     auto versions = meta->table.apply(batch);
+    if (applied) *applied = versions;
 
     Bytes serialized;
     BinaryWriter w(serialized);
@@ -603,12 +611,15 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
         }
         case OpType::Delete: {
             // The one place a segment's state dies: the record becomes a
-            // tombstone and every parked read resolves NotFound — fetch
-            // riders first, then tail waiters, then flush waiters.
+            // tombstone, the storage writer drops its queue, chunk list and
+            // chunks, and every parked read resolves NotFound — fetch riders
+            // first, then tail waiters, then flush waiters.
+            if (replay) dropChunkRecords(op.segment);
             auto it = segments_.find(op.segment);
             if (it != segments_.end()) {
                 SegmentMeta& meta = it->second;
                 meta.props.deleted = true;
+                meta.deleteQueued = false;
                 readIndex_.removeSegment(op.segment);
                 meta.attributes.clear();
                 storageWriter_->notifyDeleted(op.segment);
@@ -786,6 +797,16 @@ void SegmentContainer::truncateWalIfPossible() {
         lastTruncatedSeq_ = candidate - 1;
         ++walTruncations_;
     }
+}
+
+void SegmentContainer::dropChunkRecords(SegmentId id) {
+    SegmentMeta* system = findSegment(systemTable_);
+    if (!system) return;
+    std::vector<TableUpdate> drop;
+    for (auto& [key, value] : system->table.scanPrefix(StorageWriter::chunkKeyPrefix(id))) {
+        drop.push_back(TableUpdate{key, std::nullopt});
+    }
+    system->table.apply(drop);
 }
 
 void SegmentContainer::onSegmentFlushed(SegmentId id, int64_t newStorageLength) {

@@ -133,7 +133,12 @@ public:
     int64_t getWriterLastEventNumber(SegmentId id, WriterId writer) const;
 
     // ---- table API (metadata KV, §4.3) --------------------------------
-    sim::Future<std::vector<int64_t>> tableUpdate(SegmentId id, std::vector<TableUpdate> batch);
+    /// Validates and applies `batch` to the table's index at once, then makes
+    /// it durable; completes with the versions assigned. `applied`, when
+    /// given, receives those versions at once (left empty when the batch is
+    /// refused).
+    sim::Future<std::vector<int64_t>> tableUpdate(SegmentId id, std::vector<TableUpdate> batch,
+                                                  std::vector<int64_t>* applied = nullptr);
     Result<TableValue> tableGet(SegmentId id, const std::string& key) const;
     std::vector<std::pair<std::string, TableValue>> tableScan(SegmentId id,
                                                               const std::string& prefix) const;
@@ -167,15 +172,15 @@ public:
     uint64_t walTruncations() const { return walTruncations_; }
     uint64_t checkpointsWritten() const { return checkpointsWritten_; }
     sim::Duration currentBatchDelay() const;
-    lts::ChunkStorage& ltsStorage() { return lts_; }
     StorageWriter& storageWriter() { return *storageWriter_; }
     wal::LogClient& walLog() { return *log_; }
-    ReadIndex& readIndex() { return readIndex_; }
 
     /// Admission delay an append admitted now would get (§4.3 throttling).
     sim::Duration throttleDelay() const;
 
     // ---- used by StorageWriter ----------------------------------------
+    /// True while `id` is live: created, and no Delete of it enqueued.
+    bool hasSegment(SegmentId id) const { return findSegment(id) != nullptr; }
     void onSegmentFlushed(SegmentId id, int64_t newStorageLength);
     void onStorageProgress();
 
@@ -219,9 +224,12 @@ private:
     /// stays as a tombstone (`props.deleted`) whose parked reads, fetches,
     /// readahead state and attributes are dropped when its Delete applies;
     /// its rate counters stay until drained. A checkpoint restore replaces
-    /// every record (tombstones are not checkpointed).
+    /// every record (tombstones are not checkpointed). While its Delete is
+    /// queued (`deleteQueued`) the id cannot be created again: the Delete
+    /// would apply to the new record.
     struct SegmentMeta {
         SegmentProperties props;
+        bool deleteQueued = false;  // deleteSegment() ran, its Delete not yet applied
         int64_t appliedLength = 0;  // readable prefix (apply-time)
         TableIndex table;           // only for isTable segments
         /// Writer attributes (§3.2): writer id -> last event number.
@@ -279,6 +287,9 @@ private:
     void consumePrefetched(SegmentMeta& meta, int64_t offset, int64_t readEnd);
     void chargeWastedPrefetch(SegmentMeta& meta, int64_t missStart, int64_t missEnd);
     void truncateWalIfPossible();
+    /// Drops `id`'s chunk records from the system table, as its Delete is
+    /// enqueued or replayed: the same point in the log either way.
+    void dropChunkRecords(SegmentId id);
 
     sim::Core& exec_;
     uint32_t containerId_;

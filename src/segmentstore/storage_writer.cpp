@@ -12,7 +12,23 @@ namespace pravega::segmentstore {
 
 namespace {
 constexpr const char* kLog = "storage-writer";
+
+std::string chunkKey(SegmentId segment, int64_t index) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "chunks/%016llx/%012lld",
+                  static_cast<unsigned long long>(segment), static_cast<long long>(index));
+    return buf;
 }
+
+std::string chunkName(SegmentId segment, int64_t startOffset) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "seg-%016llx-%012lld",
+                  static_cast<unsigned long long>(segment), static_cast<long long>(startOffset));
+    return buf;
+}
+
+int64_t endOf(const ChunkRecord& r) { return r.startOffset + r.length; }
+}  // namespace
 
 Bytes ChunkRecord::serialize() const {
     Bytes out;
@@ -61,30 +77,26 @@ void StorageWriter::stop() {
     compactTimer_.cancel();
 }
 
-std::string StorageWriter::chunkKey(SegmentId segment, int64_t index) const {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "chunks/%016llx/%012lld",
-                  static_cast<unsigned long long>(segment), static_cast<long long>(index));
+std::string StorageWriter::chunkKeyPrefix(SegmentId segment) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "chunks/%016llx/", static_cast<unsigned long long>(segment));
     return buf;
 }
 
-std::string StorageWriter::chunkName(SegmentId segment, int64_t startOffset) const {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "seg-%016llx-%012lld",
-                  static_cast<unsigned long long>(segment), static_cast<long long>(startOffset));
-    return buf;
+StorageWriter::SegmentState& StorageWriter::stateOf(SegmentId segment) {
+    auto [it, fresh] = segments_.try_emplace(segment);
+    if (fresh) it->second.incarnation = ++incarnations_;
+    return it->second;
 }
 
-int64_t StorageWriter::chunkIndexFromKey(const std::string& key) {
-    size_t slash = key.find_last_of('/');
-    if (slash == std::string::npos) return -1;
-    return std::strtoll(key.c_str() + slash + 1, nullptr, 10);
+StorageWriter::SegmentState* StorageWriter::liveState(SegmentId segment, uint64_t incarnation) {
+    auto it = segments_.find(segment);
+    return it == segments_.end() || it->second.incarnation != incarnation ? nullptr : &it->second;
 }
 
 void StorageWriter::queueAppend(SegmentId segment, int64_t offset, SharedBuf data,
                                 int64_t walSequence, int64_t storageLength) {
-    auto& state = segments_[segment];
-    if (state.deleted) return;
+    SegmentState& state = stateOf(segment);
     // Drop bytes already durable in LTS (recovery replays the WAL tail,
     // which may overlap the flushed prefix).
     if (offset + static_cast<int64_t>(data.size()) <= storageLength) return;
@@ -120,22 +132,19 @@ void StorageWriter::reindex(SegmentId segment, SegmentState& state) {
 
 void StorageWriter::notifyDeleted(SegmentId segment) {
     auto it = segments_.find(segment);
-    if (it != segments_.end()) {
-        pendingBytes_ -= it->second.pendingBytes;
-        it->second.pending.clear();
-        it->second.pendingBytes = 0;
-        it->second.deleted = true;
-        reindex(segment, it->second);
-    }
+    if (it == segments_.end()) return;
+    SegmentState& state = it->second;
+    pendingBytes_ -= state.pendingBytes;
+    state.pending.clear();
+    state.pendingBytes = 0;
+    reindex(segment, state);
     // Chunk removal is best-effort and asynchronous, but a dropped failure
     // would leave an orphan chunk that totalBytes() counts forever — so
     // failures are logged, retried once, and then surfaced on a gauge.
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    for (const auto& [key, value] : chunks) {
-        auto rec = ChunkRecord::deserialize(value.value);
-        if (rec) removeChunk(rec.value().name, /*isRetry=*/false);
-    }
+    for (const auto& c : state.chunks) removeChunk(c.record.name, /*isRetry=*/false);
+    // A flush or compaction still in flight finds no state of its
+    // incarnation and stands down.
+    segments_.erase(it);
 }
 
 void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
@@ -152,6 +161,38 @@ void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
                   r.status().toString().c_str(), name.c_str());
         mOrphanChunks_.add(1.0);
     }));
+}
+
+sim::Future<std::vector<int64_t>> StorageWriter::updateRecords(
+    SegmentId segment, SegmentState& state, const ChunkEntry& put,
+    const std::vector<ChunkEntry>& removed) {
+    std::vector<TableUpdate> batch{
+        {chunkKey(segment, put.index), put.record.serialize(), put.version}};
+    for (const auto& r : removed) {
+        batch.push_back({chunkKey(segment, r.index), std::nullopt, r.version});
+    }
+    std::vector<int64_t> versions;  // stays empty when the table refuses the batch
+    auto done =
+        container_.tableUpdate(container_.systemTableSegment(), std::move(batch), &versions);
+    if (versions.empty()) return done;
+    auto at = std::lower_bound(state.chunks.begin(), state.chunks.end(), put.index,
+                               [](const ChunkEntry& e, int64_t index) { return e.index < index; });
+    if (at == state.chunks.end() || at->index != put.index) at = state.chunks.insert(at, put);
+    at->record = put.record;
+    at->version = versions[0];
+    // The removals are the entries right after the put: a compaction's
+    // other victims, which no flush can have moved while it ran.
+    assert(static_cast<size_t>(state.chunks.end() - at) > removed.size());
+    state.chunks.erase(at + 1, at + 1 + static_cast<ptrdiff_t>(removed.size()));
+    return done;
+}
+
+void StorageWriter::retire(SegmentId segment, SegmentState& state, size_t count, uint64_t bytes) {
+    for (size_t k = 0; k < count && !state.pending.empty(); ++k) state.pending.pop_front();
+    state.pendingBytes -= std::min<uint64_t>(bytes, state.pendingBytes);
+    pendingBytes_ -= std::min<uint64_t>(bytes, pendingBytes_);
+    if (!state.pending.empty()) state.oldestPending = exec_.now();
+    reindex(segment, state);
 }
 
 bool StorageWriter::flushReady(const SegmentState& state) const {
@@ -185,26 +226,9 @@ void StorageWriter::scan() {
 }
 
 void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
-    // Current durable frontier from chunk metadata; anything below it is
+    // Current durable frontier from the chunk list; anything below it is
     // already in LTS (makes flush retries and recovery overlap idempotent).
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    ChunkRecord last;
-    int64_t lastIndex = -1;
-    int64_t lastVersion = kNotExists;
-    if (!chunks.empty()) {
-        auto rec = ChunkRecord::deserialize(chunks.back().second.value);
-        if (rec) {
-            last = rec.value();
-            // The index comes from the KEY, not the record count: compaction
-            // deletes records, and a new chunk keyed `size()-1` would sort
-            // before surviving keys, breaking findChunks' key-order ==
-            // offset-order invariant.
-            lastIndex = chunkIndexFromKey(chunks.back().first);
-            lastVersion = chunks.back().second.version;
-        }
-    }
-    int64_t storageStart = lastIndex >= 0 ? last.startOffset + last.length : 0;
+    int64_t storageStart = state.chunks.empty() ? 0 : endOf(state.chunks.back().record);
 
     // Aggregate pending appends into one contiguous write (§4.3: "it
     // buffers small appends into larger writes to LTS"). The aggregate is a
@@ -238,11 +262,7 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
     }
     if (agg.empty()) {
         // Nothing new to write (all below the frontier): just retire.
-        for (size_t i = 0; i < flushCount; ++i) state.pending.pop_front();
-        state.pendingBytes -= flushBytes;
-        pendingBytes_ -= flushBytes;
-        if (!state.pending.empty()) state.oldestPending = exec_.now();
-        reindex(segment, state);
+        retire(segment, state, flushCount, flushBytes);
         container_.onStorageProgress();
         return;
     }
@@ -251,319 +271,247 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
     ++activeFlushes_;
     mFlushes_.inc();
     mFlushBatchBytes_.record(static_cast<sim::Duration>(agg.size()));
-    sim::TimePoint flushStart = exec_.now();
-
-    // Build the per-chunk write plan, rolling chunks at maxChunkBytes.
-    struct FlushPlan {
-        std::string chunk;
-        std::string key;
-        int64_t version;     // expected table version for the metadata CAS
-        ChunkRecord record;  // record after this write
-        BufChain data;       // zero-copy slice of the aggregate chain
-        bool createChunk;
-    };
-    auto plans = std::make_shared<std::vector<FlushPlan>>();
-    size_t pos = 0;
-    int64_t offset = storageStart;
-    while (pos < agg.size()) {
-        bool needNew = lastIndex < 0 ||
-                       last.length >= static_cast<int64_t>(cfg_.maxChunkBytes);
-        if (needNew) {
-            ++lastIndex;
-            last = ChunkRecord{chunkName(segment, offset), offset, 0};
-            lastVersion = kNotExists;
+    auto f = std::make_unique<Flush>(
+        Flush{segment, state.incarnation, cursor, flushCount, flushBytes, exec_.now()});
+    // Plan the per-chunk writes, rolling chunks at maxChunkBytes. The first
+    // continues the last chunk and expects its record's version; a new
+    // chunk's record must not exist yet; later writes expect any version. A
+    // new key follows the last record's (not the record count, which
+    // compaction lowers), so key order stays offset order.
+    ChunkEntry last = state.chunks.empty() ? ChunkEntry{{}, -1, kNotExists} : state.chunks.back();
+    for (size_t pos = 0; pos < agg.size();) {
+        int64_t offset = storageStart + static_cast<int64_t>(pos);
+        if (last.index < 0 || last.record.length >= static_cast<int64_t>(cfg_.maxChunkBytes)) {
+            last = {{chunkName(segment, offset), offset, 0}, last.index + 1, kNotExists};
         }
-        size_t room = cfg_.maxChunkBytes - static_cast<size_t>(last.length);
-        size_t n = std::min(room, agg.size() - pos);
-        FlushPlan plan;
-        plan.chunk = last.name;
-        plan.key = chunkKey(segment, lastIndex);
-        plan.version = lastVersion;
-        plan.createChunk = (lastVersion == kNotExists);
-        plan.data = agg.share(pos, n);
-        last.length += static_cast<int64_t>(n);
-        plan.record = last;
-        plans->push_back(std::move(plan));
+        size_t n = std::min(cfg_.maxChunkBytes - static_cast<size_t>(last.record.length),
+                            agg.size() - pos);
+        last.record.length += static_cast<int64_t>(n);
+        f->writes.push_back({last, agg.share(pos, n)});
         pos += n;
-        offset += static_cast<int64_t>(n);
-        lastVersion = kAnyVersion;  // subsequent writes in this flush chain
+        last.version = kAnyVersion;
     }
-
-    // Execute plans sequentially: create-if-needed, append, record metadata
-    // via a conditional table update, then continue or finish.
-    auto runPlan = std::make_shared<std::function<void(size_t)>>();
-    int64_t finalLength = cursor;
-    // The stored function holds only a weak ref to itself; the strong refs
-    // live in the in-flight continuations. A chain interrupted mid-flight
-    // (executor wound down with an LTS write outstanding) is then reclaimed
-    // with the futures instead of leaking the self-ownership cycle.
-    *runPlan = [this, segment, plans,
-                weakPlan = std::weak_ptr<std::function<void(size_t)>>(runPlan),
-                finalLength, flushCount, flushBytes, flushStart](size_t i) {
-        auto runPlan = weakPlan.lock();
-        if (!runPlan) return;
-        auto& st = segments_[segment];
-        if (i >= plans->size()) {
-            mFlushNs_.record(exec_.now() - flushStart);
-            // Success: retire the flushed entries.
-            for (size_t k = 0; k < flushCount && !st.pending.empty(); ++k) {
-                st.pending.pop_front();
-            }
-            st.pendingBytes -= std::min<uint64_t>(flushBytes, st.pendingBytes);
-            pendingBytes_ -= std::min<uint64_t>(flushBytes, pendingBytes_);
-            if (!st.pending.empty()) st.oldestPending = exec_.now();
-            reindex(segment, st);
-            st.flushing = false;
-            --activeFlushes_;
-            container_.onSegmentFlushed(segment, finalLength);
-            container_.onStorageProgress();
-            // Keep draining a backlogged segment immediately instead of
-            // waiting for the next scan tick (the drain must be limited by
-            // LTS, not by the scan cadence).
-            if (st.pendingBytes >= cfg_.flushSizeBytes && scanTimer_.armed()) {
-                exec_.post(life_.guard([this, segment]() {
-                    auto it = segments_.find(segment);
-                    if (it != segments_.end() && !it->second.flushing &&
-                        !it->second.deleted && scanTimer_.armed() &&
-                        activeFlushes_ < cfg_.maxConcurrentFlushes) {
-                        flushSegment(segment, it->second);
-                    }
-                }));
-            }
-            return;
-        }
-        auto runAppend = [this, plans, runPlan, i, segment]() {
-            auto& plan = (*plans)[i];
-            uint64_t n = plan.data.size();
-            storage_.append(plan.chunk, std::move(plan.data))
-                .onComplete(life_.guard([this, plans, runPlan, i, n,
-                             segment](const Result<sim::Unit>& r) {
-                    auto& st2 = segments_[segment];
-                    if (!r.isOk()) {
-                        // Leave the queue untouched; the next scan retries
-                        // and the durable-frontier trim keeps it idempotent.
-                        PLOG_WARN(kLog, "LTS append failed (%s); will retry",
-                                  r.status().toString().c_str());
-                        mFlushFailures_.inc();
-                        st2.flushing = false;
-                        --activeFlushes_;
-                        return;
-                    }
-                    flushedBytes_ += n;
-                    mFlushBytes_.inc(n);
-                    std::vector<TableUpdate> batch;
-                    TableUpdate u;
-                    u.key = (*plans)[i].key;
-                    u.value = (*plans)[i].record.serialize();
-                    u.expectedVersion = (*plans)[i].version;
-                    batch.push_back(std::move(u));
-                    container_.tableUpdate(container_.systemTableSegment(), std::move(batch))
-                        .onComplete([runPlan, i](const Result<std::vector<int64_t>>& tr) {
-                            if (!tr.isOk()) {
-                                PLOG_WARN(kLog, "chunk metadata update failed: %s",
-                                          tr.status().toString().c_str());
-                            }
-                            (*runPlan)(i + 1);
-                        });
-                }));
-        };
-        if ((*plans)[i].createChunk) {
-            storage_.create((*plans)[i].chunk)
-                .onComplete(life_.guard([runAppend](const Result<sim::Unit>&) { runAppend(); }));
-        } else {
-            runAppend();
-        }
-    };
-    (*runPlan)(0);
+    flushStep(std::move(f));
 }
 
-uint64_t StorageWriter::compactions() const { return mCompactions_.value(); }
+void StorageWriter::flushStep(std::unique_ptr<Flush> f) {
+    SegmentState* state = liveState(f->segment, f->incarnation);
+    if (!state) {
+        --activeFlushes_;  // the segment's Delete applied first
+        return;
+    }
+    if (f->next < f->writes.size()) {
+        // A new chunk is created first; a failed create shows in the append.
+        const ChunkEntry& e = f->writes[f->next].entry;
+        if (e.version != kNotExists) return appendChunk(std::move(f));
+        storage_.create(e.record.name)
+            .onComplete(life_.guard([this, f = std::move(f)](const Result<sim::Unit>&) mutable {
+                appendChunk(std::move(f));
+            }));
+        return;
+    }
+    mFlushNs_.record(exec_.now() - f->start);
+    retire(f->segment, *state, f->count, f->bytes);
+    state->flushing = false;
+    --activeFlushes_;
+    container_.onSegmentFlushed(f->segment, f->finalLength);
+    container_.onStorageProgress();
+    // Keep draining a backlogged segment immediately instead of waiting for
+    // the next scan tick (the drain must be limited by LTS, not by the scan
+    // cadence).
+    if (state->pendingBytes >= cfg_.flushSizeBytes && scanTimer_.armed()) {
+        exec_.post(life_.guard([this, segment = f->segment]() {
+            auto it = segments_.find(segment);
+            if (it != segments_.end() && !it->second.flushing && scanTimer_.armed() &&
+                activeFlushes_ < cfg_.maxConcurrentFlushes) {
+                flushSegment(segment, it->second);
+            }
+        }));
+    }
+}
+
+void StorageWriter::appendChunk(std::unique_ptr<Flush> f) {
+    Flush::Write& w = f->writes[f->next];
+    uint64_t n = w.data.size();
+    storage_.append(w.entry.record.name, std::move(w.data))
+        .onComplete(life_.guard([this, f = std::move(f), n](const Result<sim::Unit>& r) mutable {
+            const ChunkEntry& e = f->writes[f->next].entry;
+            SegmentState* state = liveState(f->segment, f->incarnation);
+            // Once the segment's Delete is queued, a record filed now would
+            // outlive the records the Delete drops: stand down, and remove
+            // the chunk this write made.
+            if (!state || !container_.hasSegment(f->segment)) {
+                if (e.version == kNotExists) removeChunk(e.record.name, /*isRetry=*/false);
+                --activeFlushes_;
+                return;
+            }
+            if (!r.isOk()) {
+                // Leave the queue untouched; the next scan retries and the
+                // durable-frontier trim keeps it idempotent.
+                PLOG_WARN(kLog, "LTS append failed (%s); will retry",
+                          r.status().toString().c_str());
+                mFlushFailures_.inc();
+                state->flushing = false;
+                --activeFlushes_;
+                return;
+            }
+            flushedBytes_ += n;
+            mFlushBytes_.inc(n);
+            updateRecords(f->segment, *state, e)
+                .onComplete(life_.guard(
+                    [this, f = std::move(f)](const Result<std::vector<int64_t>>& tr) mutable {
+                        if (!tr.isOk()) {
+                            PLOG_WARN(kLog, "chunk metadata update failed: %s",
+                                      tr.status().toString().c_str());
+                        }
+                        ++f->next;
+                        flushStep(std::move(f));
+                    }));
+        }));
+}
 
 void StorageWriter::compactScan() {
     for (auto& [segment, state] : segments_) {
-        if (state.flushing || state.deleted) continue;
+        if (state.flushing) continue;
         if (activeFlushes_ >= cfg_.maxConcurrentFlushes) break;
         compactSegment(segment, state);
     }
 }
 
 void StorageWriter::compactSegment(SegmentId segment, SegmentState& state) {
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
+    const auto& chunks = state.chunks;
     if (chunks.size() < 3) return;  // need a run of >= 2 plus the active tail
     // Find the first run of >= 2 adjacent small chunks. The LAST record is
     // never a candidate: it is still receiving appends, and merging it would
     // race the flush path's durable-frontier math.
-    struct Victim {
-        std::string key;
-        int64_t version;
-        ChunkRecord rec;
-    };
-    std::vector<Victim> run;
-    size_t limit = chunks.size() - 1;
-    for (size_t i = 0; i < limit; ++i) {
-        auto rec = ChunkRecord::deserialize(chunks[i].second.value);
-        bool small = rec && rec.value().length > 0 &&
-                     rec.value().length < static_cast<int64_t>(cfg_.compactMinChunkBytes);
-        if (small) {
-            int64_t runBytes = 0;
-            for (const auto& v : run) runBytes += v.rec.length;
-            if (runBytes + rec.value().length <= static_cast<int64_t>(cfg_.maxChunkBytes)) {
-                run.push_back(
-                    Victim{chunks[i].first, chunks[i].second.version, rec.value()});
-                continue;
-            }
+    size_t first = 0;
+    size_t count = 0;
+    int64_t runBytes = 0;
+    for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+        int64_t len = chunks[i].record.length;
+        if (len > 0 && len < static_cast<int64_t>(cfg_.compactMinChunkBytes) &&
+            runBytes + len <= static_cast<int64_t>(cfg_.maxChunkBytes)) {
+            if (count++ == 0) first = i;
+            runBytes += len;
+            continue;
         }
-        if (run.size() >= 2) break;  // a full run ended here — merge it
-        run.clear();
+        if (count >= 2) break;  // a full run ended here — merge it
+        count = 0;
+        runBytes = 0;
     }
-    if (run.size() < 2) return;
+    if (count < 2) return;
 
-    // Lock the segment against concurrent flushes: the metadata CAS below
-    // and flushSegment's frontier scan must not interleave.
+    // Lock the segment against concurrent flushes: the record swap below
+    // and flushSegment's durable frontier must not interleave.
     state.flushing = true;
     ++activeFlushes_;
-
-    auto victims = std::make_shared<std::vector<Victim>>(std::move(run));
-    int64_t mergedStart = victims->front().rec.startOffset;
-    int64_t mergedLen = 0;
-    for (const auto& v : *victims) mergedLen += v.rec.length;
-    // `-c<gen>` uniquifies: plain chunkName(segment, mergedStart) is the
-    // first victim's own name (or a prior generation's).
-    std::string mergedName =
-        chunkName(segment, mergedStart) + "-c" + std::to_string(++compactGen_);
-
-    auto finish = [this, segment](bool ok, const std::string& newChunk) {
-        auto it = segments_.find(segment);
-        if (it != segments_.end()) it->second.flushing = false;
-        --activeFlushes_;
-        if (!ok && !newChunk.empty()) removeChunk(newChunk, /*isRetry=*/false);
-    };
+    auto run = chunks.begin() + static_cast<ptrdiff_t>(first);
+    int64_t start = run->record.startOffset;
+    // `-c<gen>` uniquifies: plain chunkName(segment, start) is the first
+    // victim's own name (or a prior generation's).
+    auto job = std::make_unique<Compaction>(Compaction{
+        segment, state.incarnation, {run, run + static_cast<ptrdiff_t>(count)},
+        {chunkName(segment, start) + "-c" + std::to_string(++compactGen_), start, runBytes}});
 
     // Read every victim chunk fully (in parallel — they are immutable), then
-    // write the merged chunk, then swap the metadata atomically.
-    auto payloads = std::make_shared<std::vector<SharedBuf>>(victims->size());
-    auto remaining = std::make_shared<size_t>(victims->size());
-    auto failed = std::make_shared<bool>(false);
-    for (size_t i = 0; i < victims->size(); ++i) {
-        const auto& v = (*victims)[i];
-        storage_.read(v.rec.name, 0, static_cast<uint64_t>(v.rec.length))
-            .onComplete(life_.guard([this, segment, victims, payloads, remaining, failed, i,
-                         mergedName, mergedStart, mergedLen,
-                         finish](const Result<SharedBuf>& r) {
-                if (!r.isOk() ||
-                    r.value().size() != static_cast<uint64_t>((*victims)[i].rec.length)) {
-                    *failed = true;
-                }
-                (*payloads)[i] = r.isOk() ? r.value() : SharedBuf();
-                if (--*remaining > 0) return;
-                if (*failed) {
-                    finish(false, "");
-                    return;
-                }
-                BufChain merged;
-                for (auto& buf : *payloads) merged.append(std::move(buf));
-                storage_.create(mergedName)
-                    .onComplete(life_.guard([this, segment, victims, merged = std::move(merged),
-                                 mergedName, mergedStart, mergedLen,
-                                 finish](const Result<sim::Unit>& cr) mutable {
-                        if (!cr.isOk()) {
-                            finish(false, "");
-                            return;
-                        }
-                        storage_.append(mergedName, std::move(merged))
-                            .onComplete(life_.guard([this, segment, victims, mergedName,
-                                         mergedStart, mergedLen,
-                                         finish](const Result<sim::Unit>& ar) {
-                                if (!ar.isOk()) {
-                                    finish(false, mergedName);
-                                    return;
-                                }
-                                // Atomic swap: the first victim's record
-                                // becomes the merged record; the rest are
-                                // deleted. Version guards abort the whole
-                                // batch if anything moved underneath us.
-                                std::vector<TableUpdate> batch;
-                                TableUpdate u;
-                                u.key = victims->front().key;
-                                u.value =
-                                    ChunkRecord{mergedName, mergedStart, mergedLen}
-                                        .serialize();
-                                u.expectedVersion = victims->front().version;
-                                batch.push_back(std::move(u));
-                                for (size_t k = 1; k < victims->size(); ++k) {
-                                    TableUpdate d;
-                                    d.key = (*victims)[k].key;
-                                    d.value = std::nullopt;
-                                    d.expectedVersion = (*victims)[k].version;
-                                    batch.push_back(std::move(d));
-                                }
-                                container_
-                                    .tableUpdate(container_.systemTableSegment(),
-                                                 std::move(batch))
-                                    .onComplete([this, victims, mergedName, mergedLen,
-                                                 finish](const Result<
-                                                         std::vector<int64_t>>& tr) {
-                                        if (!tr.isOk()) {
-                                            PLOG_WARN(kLog,
-                                                      "compaction CAS failed: %s",
-                                                      tr.status().toString().c_str());
-                                            finish(false, mergedName);
-                                            return;
-                                        }
-                                        mCompactions_.inc();
-                                        mCompactedBytes_.inc(
-                                            static_cast<uint64_t>(mergedLen));
-                                        // Old chunks are unreachable now; any
-                                        // read already in flight captured its
-                                        // data when it was issued.
-                                        for (const auto& v : *victims) {
-                                            removeChunk(v.rec.name,
-                                                        /*isRetry=*/false);
-                                        }
-                                        finish(true, "");
-                                    });
-                            }));
-                    }));
-            }));
+    // write the merged chunk, then swap the records atomically.
+    std::vector<sim::Future<SharedBuf>> reads;
+    for (const auto& v : job->victims) {
+        reads.push_back(storage_.read(v.record.name, 0, static_cast<uint64_t>(v.record.length)));
     }
+    sim::whenAll(reads).onComplete(life_.guard(
+        [this, job = std::move(job), reads = std::move(reads)](const Result<sim::Unit>&) mutable {
+            BufChain merged;
+            for (size_t i = 0; i < reads.size(); ++i) {
+                const Result<SharedBuf>& r = reads[i].result();
+                if (!r.isOk() ||
+                    r.value().size() != static_cast<uint64_t>(job->victims[i].record.length)) {
+                    return endCompaction(*job, /*removeMerged=*/false);
+                }
+                merged.append(r.value());
+            }
+            storage_.create(job->merged.name).onComplete(life_.guard(
+                [this, job = std::move(job), merged = std::move(merged)](
+                    const Result<sim::Unit>& cr) mutable {
+                    if (!cr.isOk()) return endCompaction(*job, /*removeMerged=*/false);
+                    storage_.append(job->merged.name, std::move(merged))
+                        .onComplete(life_.guard([this, job = std::move(job)](
+                                                    const Result<sim::Unit>& ar) mutable {
+                            swapCompacted(std::move(job), ar);
+                        }));
+                }));
+        }));
+}
+
+void StorageWriter::swapCompacted(std::unique_ptr<Compaction> job, const Result<sim::Unit>& ar) {
+    SegmentState* state = liveState(job->segment, job->incarnation);
+    if (!ar.isOk() || !state) return endCompaction(*job, /*removeMerged=*/true);
+    // Atomic swap: the first victim's record becomes the merged record; the
+    // rest are deleted. Version guards abort the whole batch if anything
+    // moved underneath us, a queued Delete's dropped records included.
+    const auto& victims = job->victims;
+    updateRecords(job->segment, *state, {job->merged, victims[0].index, victims[0].version},
+                  {victims.begin() + 1, victims.end()})
+        .onComplete(life_.guard(
+            [this, job = std::move(job)](const Result<std::vector<int64_t>>& tr) mutable {
+                if (!tr.isOk()) {
+                    PLOG_WARN(kLog, "compaction CAS failed: %s", tr.status().toString().c_str());
+                    return endCompaction(*job, /*removeMerged=*/true);
+                }
+                mCompactions_.inc();
+                mCompactedBytes_.inc(static_cast<uint64_t>(job->merged.length));
+                // Old chunks are unreachable now; any read already in flight
+                // captured its data when it was issued.
+                for (const auto& v : job->victims) removeChunk(v.record.name, /*isRetry=*/false);
+                endCompaction(*job, /*removeMerged=*/false);
+            }));
+}
+
+void StorageWriter::endCompaction(const Compaction& job, bool removeMerged) {
+    if (SegmentState* state = liveState(job.segment, job.incarnation)) state->flushing = false;
+    --activeFlushes_;
+    if (removeMerged) removeChunk(job.merged.name, /*isRetry=*/false);
 }
 
 Result<int64_t> StorageWriter::reconcileSegment(SegmentId segment) {
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    if (chunks.empty()) return static_cast<int64_t>(0);
-    auto rec = ChunkRecord::deserialize(chunks.back().second.value);
-    if (!rec) return rec.status();
-    ChunkRecord last = rec.value();
+    // The chunk list's one load from the system table. The index in a
+    // record's key is parsed here, once, and carried by the list after.
+    std::string prefix = chunkKeyPrefix(segment);
+    auto records = container_.tableScan(container_.systemTableSegment(), prefix);
+    if (records.empty()) return static_cast<int64_t>(0);
+    SegmentState& state = stateOf(segment);
+    state.chunks.clear();
+    for (const auto& [key, value] : records) {
+        auto rec = ChunkRecord::deserialize(value.value);
+        if (!rec) return rec.status();
+        int64_t index = std::strtoll(key.c_str() + prefix.size(), nullptr, 10);
+        state.chunks.push_back({std::move(rec.value()), index, value.version});
+    }
+    ChunkEntry last = state.chunks.back();
     // A chunk longer than its record means a flush landed whose metadata
     // update was lost with the WAL tail; adopt the actual length.
-    auto actual = storage_.stat(last.name);
-    if (actual && static_cast<int64_t>(actual.value().length) > last.length) {
-        last.length = static_cast<int64_t>(actual.value().length);
-        std::vector<TableUpdate> fix;
-        TableUpdate u;
-        u.key = chunks.back().first;
-        u.value = last.serialize();
-        fix.push_back(std::move(u));
-        container_.tableUpdate(container_.systemTableSegment(), std::move(fix));
+    auto actual = storage_.stat(last.record.name);
+    if (actual && static_cast<int64_t>(actual.value().length) > last.record.length) {
+        last.record.length = static_cast<int64_t>(actual.value().length);
+        last.version = kAnyVersion;
+        updateRecords(segment, state, last);
     }
-    return last.startOffset + last.length;
+    return endOf(last.record);
 }
 
 std::vector<ChunkRecord> StorageWriter::findChunks(SegmentId segment, int64_t offset,
                                                    int64_t length) const {
     std::vector<ChunkRecord> out;
-    if (length <= 0) return out;
-    int64_t end = offset + length;
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    for (const auto& [key, value] : chunks) {
-        auto rec = ChunkRecord::deserialize(value.value);
-        if (!rec) continue;
-        const ChunkRecord& r = rec.value();
-        if (r.startOffset >= end) break;  // records are in offset order
-        if (r.startOffset + r.length > offset) out.push_back(r);
+    auto it = segments_.find(segment);
+    if (length <= 0 || it == segments_.end()) return out;
+    const auto& chunks = it->second.chunks;
+    // Records are in offset order, so their ends rise too: skip every chunk
+    // that ends at or before `offset`, then take chunks until `end`.
+    auto c = std::partition_point(chunks.begin(), chunks.end(), [offset](const ChunkEntry& e) {
+        return endOf(e.record) <= offset;
+    });
+    for (int64_t end = offset + length; c != chunks.end() && c->record.startOffset < end; ++c) {
+        out.push_back(c->record);
     }
     return out;
 }

@@ -2,7 +2,9 @@
 // groups them by segment, aggregates small appends into larger writes, and
 // applies them to LTS as chunks. After a flush it records chunk metadata in
 // the container's system table segment (conditional updates, as the paper
-// prescribes) and advances the WAL truncation watermark.
+// prescribes) and advances the WAL truncation watermark. Each segment's
+// chunk list stays in memory; the table is its durable copy, read back only
+// at recovery.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buf_chain.h"
 #include "common/bytes.h"
 #include "common/result.h"
 #include "lts/chunk_storage.h"
@@ -75,19 +78,23 @@ public:
     void queueAppend(SegmentId segment, int64_t offset, SharedBuf data, int64_t walSequence,
                      int64_t storageLength);
 
+    /// Drops `segment`'s state and queue and removes its chunks from LTS, as
+    /// its Delete applies (the container drops its chunk records).
     void notifyDeleted(SegmentId segment);
 
-    /// Reconciles a recovered segment against LTS: chunk metadata is
-    /// authoritative, except that a chunk longer than its record means a
-    /// flush completed whose metadata update was lost — adopt the actual
-    /// chunk length (the bytes are identical, appends replay verbatim).
+    /// Loads a recovered segment's chunk list from the system table (the
+    /// writer's only read of it) and reconciles it against LTS: a chunk
+    /// longer than its record means a flush landed whose metadata update was
+    /// lost, so the actual length is adopted (appends replay verbatim).
     Result<int64_t> reconcileSegment(SegmentId segment);
+
+    /// The system-table key prefix of `segment`'s chunk records.
+    static std::string chunkKeyPrefix(SegmentId segment);
 
     /// All chunks overlapping [offset, offset+length), in offset order.
     /// Lets the read pipeline fetch a multi-chunk range in parallel instead
     /// of discovering chunks one fetch-retry round at a time (§5.7).
-    std::vector<ChunkRecord> findChunks(SegmentId segment, int64_t offset,
-                                        int64_t length) const;
+    std::vector<ChunkRecord> findChunks(SegmentId segment, int64_t offset, int64_t length) const;
 
     /// Highest WAL sequence S such that every append with sequence <= S is
     /// durable in LTS (drives WAL truncation).
@@ -96,7 +103,7 @@ public:
     uint64_t pendingBytes() const { return pendingBytes_; }
     uint64_t flushedBytes() const { return flushedBytes_; }
     /// Completed chunk-compaction merges (see compactMinChunkBytes).
-    uint64_t compactions() const;
+    uint64_t compactions() const { return mCompactions_.value(); }
 
     /// Largest single-segment unflushed backlog when it exceeds the
     /// backlog limit, else 0. Flushes are serialized per segment, so this
@@ -126,32 +133,78 @@ private:
         SharedBuf data;
         int64_t walSequence;
     };
+    /// One chunk record as the system table holds it: the record, the index
+    /// in its key and the table version its last update was given.
+    struct ChunkEntry {
+        ChunkRecord record;
+        int64_t index;
+        int64_t version;
+    };
     struct SegmentState {
+        uint64_t incarnation = 0;  // unique per state: late completions check it
         std::deque<PendingAppend> pending;
         uint64_t pendingBytes = 0;
         sim::TimePoint oldestPending = 0;
-        int64_t nextChunkIndex = 0;
+        /// The segment's chunk records in key order, which is offset order.
+        /// Equal to the system table's: changed where the table changes.
+        std::vector<ChunkEntry> chunks;
         bool flushing = false;
-        bool deleted = false;
         // Keys this segment is filed under in heads_ and backlogs_.
         int64_t indexedHead = kUnindexed;
         uint64_t indexedBacklog = 0;  // 0: not in backlogs_
     };
     static constexpr int64_t kUnindexed = INT64_MIN;
 
+    /// One flush in flight: its per-chunk writes, run in order by flushStep.
+    struct Flush {
+        SegmentId segment;
+        uint64_t incarnation;
+        int64_t finalLength;
+        size_t count;  // queue entries the flush retires
+        uint64_t bytes;
+        sim::TimePoint start;
+        struct Write {
+            ChunkEntry entry;  // record after the write; version = expected
+            BufChain data;     // zero-copy slice of the aggregate chain
+        };
+        std::vector<Write> writes = {};
+        size_t next = 0;
+    };
+    /// One compaction in flight: a run of chunks merged into one.
+    struct Compaction {
+        SegmentId segment;
+        uint64_t incarnation;
+        std::vector<ChunkEntry> victims;
+        ChunkRecord merged;
+    };
+
+    /// The state for `segment`, made with a fresh incarnation if absent.
+    SegmentState& stateOf(SegmentId segment);
+    /// `segment`'s state while incarnation `incarnation` lives: null once
+    /// its Delete has applied (a queued one shows in container_.hasSegment).
+    SegmentState* liveState(SegmentId segment, uint64_t incarnation);
     /// Re-files `segment` in the three indexes after its queue changed.
     void reindex(SegmentId segment, SegmentState& state);
+    /// Pops `count` flushed entries of `bytes` off the queue.
+    void retire(SegmentId segment, SegmentState& state, size_t count, uint64_t bytes);
     bool flushReady(const SegmentState& state) const;
     void scan();
     void flushSegment(SegmentId segment, SegmentState& state);
+    /// Runs write `f->next` of a flush (create when new, then append), or
+    /// retires the flushed entries once every write is done.
+    void flushStep(std::unique_ptr<Flush> f);
+    /// Appends write `f->next`, records its chunk, and steps on.
+    void appendChunk(std::unique_ptr<Flush> f);
     void compactScan();
     void compactSegment(SegmentId segment, SegmentState& state);
-    std::string chunkKey(SegmentId segment, int64_t index) const;
-    std::string chunkName(SegmentId segment, int64_t startOffset) const;
-    /// Parses the chunk index back out of a metadata key. After compaction
-    /// deletes records, `chunks.size() - 1` is NOT the last index — the key
-    /// itself is the only truth (new chunks must keep sorting after old).
-    static int64_t chunkIndexFromKey(const std::string& key);
+    void swapCompacted(std::unique_ptr<Compaction> job, const Result<sim::Unit>& appended);
+    void endCompaction(const Compaction& job, bool removeMerged);
+    /// Files `put` (its version is the expected one) and the removal of
+    /// `removed`, the entries right after it, in the system table as one
+    /// batch, and mirrors them into `state.chunks` if the table applied it.
+    sim::Future<std::vector<int64_t>> updateRecords(SegmentId segment, SegmentState& state,
+                                                    const ChunkEntry& put,
+                                                    const std::vector<ChunkEntry>& removed = {});
 
     sim::Core& exec_;
     SegmentContainer& container_;
@@ -171,7 +224,8 @@ private:
     uint64_t pendingBytes_ = 0;
     uint64_t flushedBytes_ = 0;
     int activeFlushes_ = 0;
-    int64_t compactGen_ = 0;  // uniquifies merged-chunk names
+    int64_t compactGen_ = 0;     // uniquifies merged-chunk names
+    uint64_t incarnations_ = 0;  // last SegmentState::incarnation handed out
 
     /// Best-effort chunk removal with one retry; failures land on the
     /// `lts.orphan_chunks` gauge instead of being silently dropped.

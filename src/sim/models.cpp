@@ -101,7 +101,6 @@ void Link::deliver(uint64_t bytes, Core::Task fn) {
     }
     TimePoint start = std::max(nextFree_, exec_.now());
     nextFree_ = start + transferTime(bytes, bps);
-    bytesSent_ += bytes;
     mMessages_.inc();
     mBytes_.inc(bytes);
     mQueueNs_.record(start - exec_.now());
@@ -125,7 +124,6 @@ ObjectStoreModel::ObjectStoreModel(Core& exec, Config cfg)
       mBacklogSec_(exec.metrics().gauge("sim.lts.backlog_sec")) {}
 
 Future<Unit> ObjectStoreModel::transfer(uint64_t bytes) {
-    bytesTransferred_ += bytes;
     // Per-stream time for this transfer...
     Duration streamTime = cfg_.opLatency + transferTime(bytes, cfg_.perStreamBytesPerSec);
     // ...but the shared pipe also advances; when many transfers run in
@@ -179,7 +177,6 @@ Future<Unit> TapeLibraryModel::access(uint64_t cartridge, uint64_t bytes) {
     }
     TimePoint done = start + firstByte + transferTime(bytes, cfg_.bytesPerSec);
     d.freeAt = done;
-    bytesTransferred_ += bytes;
     mOps_.inc();
     mBytes_.inc(bytes);
     mFirstByteNs_.record(start + firstByte - exec_.now());

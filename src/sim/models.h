@@ -127,7 +127,6 @@ public:
     /// multiplies bandwidth by `bandwidthFactor` (in (0, 1]).
     void degrade(Duration extraLatency, double bandwidthFactor, Duration duration);
 
-    uint64_t bytesSent() const { return bytesSent_; }
     uint64_t droppedMessages() const { return drops_.total(); }
     const DropCounts& drops() const { return drops_; }
 
@@ -137,7 +136,6 @@ private:
     Core& exec_;
     Config cfg_;
     TimePoint nextFree_ = 0;
-    uint64_t bytesSent_ = 0;
     std::string label_;
 
     // Fault state.
@@ -202,7 +200,6 @@ public:
     Future<Unit> put(uint64_t bytes) { return transfer(bytes); }
     Future<Unit> get(uint64_t bytes) { return transfer(bytes); }
 
-    uint64_t bytesTransferred() const { return bytesTransferred_; }
 
     /// Estimated seconds of queued work (drives ingest throttling, §4.3).
     double backlogSeconds() const;
@@ -214,7 +211,6 @@ private:
     Config cfg_;
     QueuedResource lanes_;
     TimePoint aggCursor_ = 0;  // virtual finish line of the shared pipe
-    uint64_t bytesTransferred_ = 0;
     obs::Counter& mOps_;
     obs::Counter& mBytes_;
     obs::LatencyHistogram& mOpNs_;
@@ -249,7 +245,6 @@ public:
     Future<Unit> access(uint64_t cartridge, uint64_t bytes);
 
     uint64_t mounts() const { return mounts_; }
-    uint64_t bytesTransferred() const { return bytesTransferred_; }
     const Config& config() const { return cfg_; }
 
 private:
@@ -262,7 +257,6 @@ private:
     Config cfg_;
     std::vector<Drive> drives_;
     uint64_t mounts_ = 0;
-    uint64_t bytesTransferred_ = 0;
     obs::Counter& mOps_;
     obs::Counter& mMounts_;
     obs::Counter& mBytes_;

@@ -141,7 +141,6 @@ private:
     void armTimeout(EntryId entry);
     void onAck(Bookie* bookie, EntryId entry, const Result<sim::Unit>& r);
     void handleBookieFailure(Bookie* bad);
-    void failFrom(std::map<EntryId, InFlight>::iterator it, Status error);
     void drainConfirmed();
     bool fullyReplicated(const InFlight& inf) const;
 

@@ -86,11 +86,9 @@ sim::Future<LogAddress> LogClient::append(BufChain data) {
     sim::Promise<LogAddress> promise;
     auto fut = promise.future();
     waiting_.emplace(seq, std::move(promise));
-    ++inFlightAppends_;
 
     current_->addEntry(std::move(data))
         .onComplete([this, seq, ledger](const Result<EntryId>& r) {
-            --inFlightAppends_;
             if (r.isOk()) {
                 deliverInOrder(seq, LogAddress{ledger, r.value(), seq});
             } else {

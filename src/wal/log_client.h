@@ -63,10 +63,8 @@ public:
     /// Deletes all ledgers that lie entirely at or before `upTo`.
     void truncate(LogAddress upTo);
 
-    bool initialized() const { return initialized_; }
     int64_t nextSequence() const { return nextSequence_; }
     size_t ledgerCount() const;
-    uint64_t inFlightAppends() const { return inFlightAppends_; }
 
     /// Cumulative ensemble changes across all this log's ledger handles
     /// (bookie failures survived without losing availability).
@@ -92,7 +90,6 @@ private:
     std::vector<std::unique_ptr<LedgerHandle>> retired_;
     int64_t nextSequence_ = 0;
     bool initialized_ = false;
-    uint64_t inFlightAppends_ = 0;
     uint64_t ensembleChangesRetired_ = 0;
 
     // In-order completion gate across ledgers: promises are resolved

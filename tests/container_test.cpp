@@ -73,6 +73,25 @@ struct ContainerFixture : public ::testing::Test {
         return fut.result().isOk() ? fut.result().value() : -999;
     }
 
+    /// "ok" when [0, length) of `seg`, read straight from the LTS chunks its
+    /// storage writer lists, is `length` bytes of `fill`; else what is wrong.
+    std::string chunksHold(SegmentContainer& c, SegmentId seg, int64_t length, char fill) {
+        int64_t cursor = 0;
+        for (const auto& rec : c.storageWriter().findChunks(seg, 0, length)) {
+            if (rec.startOffset != cursor) return "gap at " + std::to_string(cursor);
+            auto data = lts.read(rec.name, 0, static_cast<uint64_t>(rec.length));
+            exec.runUntilIdle();
+            if (!data.result().isOk()) return "missing chunk " + rec.name;
+            for (uint8_t b : data.result().value().view()) {
+                if (b != static_cast<uint8_t>(fill)) {
+                    return "wrong byte at " + std::to_string(cursor);
+                }
+                ++cursor;
+            }
+        }
+        return cursor == length ? "ok" : "chunks end at " + std::to_string(cursor);
+    }
+
     Bytes readSync(SegmentContainer& c, SegmentId seg, int64_t offset, int64_t maxBytes) {
         auto fut = c.read(seg, offset, maxBytes);
         exec.runUntilIdle();
@@ -1002,6 +1021,231 @@ TEST_F(ContainerFixture, StorageWriterIndexesMatchBruteForce) {
     for (SegmentId seg : live) {
         auto info = c->getInfo(seg).value();
         EXPECT_EQ(info.storageLength, info.length) << seg;
+    }
+}
+
+TEST_F(ContainerFixture, CreateRefusedWhileDeleteIsQueued) {
+    // A Delete queued behind the WAL would apply to a record re-created in
+    // the meantime: the create is refused until the Delete has applied.
+    auto c = makeContainer(1, fastConfig());
+    c->createSegment(kSeg, "s");
+    exec.runUntilIdle();
+    auto del = c->deleteSegment(kSeg);
+    auto create = c->createSegment(kSeg, "s2");
+    exec.runUntilIdle();
+    EXPECT_TRUE(del.result().isOk());
+    EXPECT_EQ(create.result().code(), Err::AlreadyExists);
+    EXPECT_EQ(c->getInfo(kSeg).code(), Err::NotFound);
+
+    auto again = c->createSegment(kSeg, "s3");
+    exec.runUntilIdle();
+    EXPECT_TRUE(again.result().isOk());
+    EXPECT_EQ(c->getInfo(kSeg).value().name, "s3");
+}
+
+/// Creates kSeg, flushes 10,000 B of 'a', deletes it, re-creates it and
+/// appends 10,000 B of 'b', then lets the storage writer run.
+void deleteAndRecreate(ContainerFixture& f, SegmentContainer& c) {
+    c.createSegment(ContainerFixture::kSeg, "s");
+    f.exec.runUntilIdle();
+    f.appendSync(c, ContainerFixture::kSeg, std::string(10000, 'a'));
+    f.exec.runFor(sim::sec(1));
+    ASSERT_EQ(c.getInfo(ContainerFixture::kSeg).value().storageLength, 10000);
+    c.deleteSegment(ContainerFixture::kSeg);
+    f.exec.runUntilIdle();
+    EXPECT_TRUE(c.tableScan(c.systemTableSegment(),
+                            StorageWriter::chunkKeyPrefix(ContainerFixture::kSeg))
+                    .empty());
+    c.createSegment(ContainerFixture::kSeg, "s2");
+    f.exec.runUntilIdle();
+    f.appendSync(c, ContainerFixture::kSeg, std::string(10000, 'b'));
+    f.exec.runFor(sim::sec(2));
+}
+
+TEST_F(ContainerFixture, DeleteThenRecreateFlushesTheNewIncarnation) {
+    // The writer state and chunk records of a deleted segment die with it:
+    // the new incarnation's appends are flushed (not dropped as deleted)
+    // and recorded from key 0 again.
+    auto c = makeContainer(1, fastConfig());
+    deleteAndRecreate(*this, *c);
+    auto info = c->getInfo(kSeg).value();
+    EXPECT_EQ(info.length, 10000);
+    EXPECT_EQ(info.storageLength, 10000);
+    EXPECT_EQ(c->storageWriter().flushedWalSequence(), c->lastAppliedSequence());
+    EXPECT_EQ(chunksHold(*c, kSeg, 10000, 'b'), "ok");
+    auto records = c->tableScan(c->systemTableSegment(), StorageWriter::chunkKeyPrefix(kSeg));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].first, StorageWriter::chunkKeyPrefix(kSeg) + "000000000000");
+}
+
+TEST_F(ContainerFixture, DeleteThenRecreateSurvivesRestart) {
+    // Replaying the Delete drops the old records again, and removes no
+    // chunk by name: the new incarnation's chunks carry the same names.
+    {
+        auto c = makeContainer(1, fastConfig());
+        deleteAndRecreate(*this, *c);
+    }
+    auto c = makeContainer(1, fastConfig());
+    exec.runFor(sim::sec(1));
+    auto info = c->getInfo(kSeg).value();
+    EXPECT_EQ(info.length, 10000);
+    EXPECT_EQ(info.storageLength, 10000);
+    EXPECT_EQ(chunksHold(*c, kSeg, 10000, 'b'), "ok");
+    EXPECT_TRUE(toString(BytesView(readSync(*c, kSeg, 0, 10000))) == std::string(10000, 'b'));
+}
+
+/// Forwards to `inner`, but holds each append's completion until release().
+class GatedAppendStorage : public lts::ChunkStorage {
+public:
+    explicit GatedAppendStorage(lts::ChunkStorage& inner) : inner_(inner) {}
+
+    sim::Future<sim::Unit> create(const std::string& name) override { return inner_.create(name); }
+    sim::Future<sim::Unit> append(const std::string& name, BufChain data) override {
+        sim::Promise<sim::Unit> p;
+        auto fut = p.future();
+        inner_.append(name, std::move(data)).onComplete([this, p](const Result<sim::Unit>& r) {
+            held_.push_back([p, r]() mutable { p.complete(r); });
+        });
+        return fut;
+    }
+    sim::Future<SharedBuf> read(const std::string& name, uint64_t offset,
+                                uint64_t length) override {
+        return inner_.read(name, offset, length);
+    }
+    sim::Future<sim::Unit> remove(const std::string& name) override { return inner_.remove(name); }
+    Result<lts::ChunkInfo> stat(const std::string& name) const override {
+        return inner_.stat(name);
+    }
+    uint64_t totalBytes() const override { return inner_.totalBytes(); }
+
+    size_t held() const { return held_.size(); }
+    void release() {
+        for (auto& complete : std::exchange(held_, {})) complete();
+    }
+
+private:
+    lts::ChunkStorage& inner_;
+    std::vector<std::function<void()>> held_;
+};
+
+TEST_F(ContainerFixture, FlushLandingWhileDeleteIsQueuedFilesNoRecord) {
+    // A flush whose LTS append lands after the segment's Delete is queued
+    // files no chunk record (it would outlive the records the Delete
+    // dropped) and removes the chunk it made.
+    GatedAppendStorage gated(lts);
+    auto c = makeContainer(1, fastConfig(), &gated);
+    c->createSegment(kSeg, "s");
+    exec.runUntilIdle();
+    appendSync(*c, kSeg, std::string(10000, 'a'));
+    exec.runFor(sim::msec(100));
+    ASSERT_EQ(gated.held(), 1u);  // the flush's append is in flight
+    c->deleteSegment(kSeg);       // queued, not applied yet
+    gated.release();
+    exec.runUntilIdle();
+    EXPECT_TRUE(
+        c->tableScan(c->systemTableSegment(), StorageWriter::chunkKeyPrefix(kSeg)).empty());
+    EXPECT_EQ(lts.totalBytes(), 0u);
+}
+
+TEST_F(ContainerFixture, ChunkListsMatchSystemTableBruteForce) {
+    // A seeded mix of appends, sim steps, LTS outages (creates, appends and
+    // compaction reads fail) and deletes over 40 segments, with one
+    // container restart halfway that raises maxChunkBytes so compaction
+    // merges the small chunks written before it. After every step each live
+    // segment's chunk list must equal its system-table records, and a
+    // deleted segment must have none.
+    lts::FaultInjectionChunkStorage::Config faults;
+    faults.failOps = lts::FaultInjectionChunkStorage::kCreate |
+                     lts::FaultInjectionChunkStorage::kAppend |
+                     lts::FaultInjectionChunkStorage::kRead;
+    faults.extraLatency = sim::msec(3);  // LTS work stays in flight across steps
+    lts::FaultInjectionChunkStorage flaky(exec, lts, faults);
+    auto cfg = fastConfig();
+    cfg.storage.flushSizeBytes = 2048;
+    cfg.storage.maxChunkBytes = 1024;
+    cfg.storage.compactMinChunkBytes = 512;
+    cfg.storage.compactInterval = sim::msec(30);
+    cfg.storage.maxConcurrentFlushes = 4;
+    auto c = makeContainer(1, cfg, &flaky);
+    constexpr int kSegments = 40;
+    std::vector<SegmentId> live;
+    std::vector<SegmentId> deleted;
+    for (int i = 0; i < kSegments; ++i) {
+        live.push_back(makeSegmentId(0, static_cast<uint32_t>(i + 1)));
+        c->createSegment(live.back(), "s" + std::to_string(i));
+    }
+    exec.runUntilIdle();
+
+    uint64_t recordsChecked = 0;
+    auto check = [&](int step) {
+        for (SegmentId seg : live) {
+            auto records =
+                c->tableScan(c->systemTableSegment(), StorageWriter::chunkKeyPrefix(seg));
+            auto list = c->storageWriter().findChunks(seg, 0, INT64_MAX);
+            ASSERT_EQ(list.size(), records.size()) << "step " << step << " segment " << seg;
+            for (size_t i = 0; i < list.size(); ++i) {
+                auto rec = ChunkRecord::deserialize(BytesView(records[i].second.value));
+                ASSERT_TRUE(rec.isOk());
+                ASSERT_EQ(list[i].name, rec.value().name) << "step " << step;
+                ASSERT_EQ(list[i].startOffset, rec.value().startOffset) << "step " << step;
+                ASSERT_EQ(list[i].length, rec.value().length) << "step " << step;
+            }
+            recordsChecked += list.size();
+        }
+        for (SegmentId seg : deleted) {
+            ASSERT_TRUE(
+                c->tableScan(c->systemTableSegment(), StorageWriter::chunkKeyPrefix(seg)).empty())
+                << "step " << step << " deleted segment " << seg;
+        }
+    };
+
+    sim::Rng rng(21);
+    constexpr int kSteps = 2000;
+    for (int step = 0; step < kSteps; ++step) {
+        if (step == kSteps / 2) {
+            c.reset();
+            cfg.storage.maxChunkBytes = 8192;
+            cfg.storage.compactMinChunkBytes = 2048;
+            c = makeContainer(1, cfg, &flaky);
+        }
+        uint64_t dice = rng.nextBounded(100);
+        if (dice < 55) {
+            size_t hot = std::min<size_t>(6, live.size());
+            size_t pick = rng.nextBounded(rng.nextBounded(4) == 0 ? live.size() : hot);
+            c->append(live[pick], payload(std::string(1 + rng.nextBounded(1500), 'x')), 0, -1, 1);
+        } else if (dice < 88) {
+            exec.runFor(sim::msec(1 + static_cast<int64_t>(rng.nextBounded(40))));
+        } else if (dice < 92) {
+            flaky.startOutage(sim::msec(10 + static_cast<int64_t>(rng.nextBounded(100))));
+        } else if (dice < 94 && live.size() > 1) {
+            size_t pick = rng.nextBounded(live.size());
+            c->deleteSegment(live[pick]);
+            deleted.push_back(live[pick]);
+            live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+        } else {
+            flaky.endOutage();
+        }
+        check(step);
+        if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(flaky.injectedFailures(), 0u);
+    EXPECT_GT(c->storageWriter().compactions(), 0u);
+    EXPECT_GT(recordsChecked, 0u);
+    EXPECT_FALSE(deleted.empty());
+
+    // Once LTS is back every live segment is durable to its full length, in
+    // chunks that exist at their recorded lengths.
+    flaky.endOutage();
+    exec.runFor(sim::sec(3));
+    check(-1);
+    for (SegmentId seg : live) {
+        auto info = c->getInfo(seg).value();
+        EXPECT_EQ(info.storageLength, info.length) << seg;
+        for (const auto& rec : c->storageWriter().findChunks(seg, 0, INT64_MAX)) {
+            auto stat = lts.stat(rec.name);
+            ASSERT_TRUE(stat.isOk()) << rec.name;
+            EXPECT_EQ(static_cast<int64_t>(stat.value().length), rec.length) << rec.name;
+        }
     }
 }
 
