@@ -63,14 +63,14 @@ BlockCache::Config cacheCfg() {
 
 void BM_CacheInsertSmall(benchmark::State& state) {
     BlockCache cache(cacheCfg());
-    Bytes data(static_cast<size_t>(state.range(0)), 0xAB);
+    const BufChain data(Bytes(static_cast<size_t>(state.range(0)), 0xAB));
     std::vector<CacheAddress> addrs;
     for (auto _ : state) {
-        auto a = cache.insert(BytesView(data));
+        auto a = cache.insert(data);
         if (!a.isOk()) {
             for (CacheAddress x : addrs) cache.remove(x);
             addrs.clear();
-            a = cache.insert(BytesView(data));
+            a = cache.insert(data);
         }
         addrs.push_back(a.value());
     }
@@ -81,16 +81,16 @@ BENCHMARK(BM_CacheInsertSmall)->Arg(100)->Arg(1024)->Arg(65536);
 void BM_CacheAppendChain(benchmark::State& state) {
     // The Fig 4 design point: O(1) appends via the last-block address.
     BlockCache cache(cacheCfg());
-    Bytes data(static_cast<size_t>(state.range(0)), 0xCD);
-    auto addr = cache.insert(BytesView(data)).value();
+    const BufChain data(Bytes(static_cast<size_t>(state.range(0)), 0xCD));
+    auto addr = cache.insert(data).value();
     uint64_t appended = 0;
     for (auto _ : state) {
-        auto r = cache.append(addr, BytesView(data));
+        auto r = cache.append(addr, data);
         if (r.isOk()) {
             addr = r.value();
         } else {
             cache.remove(addr);
-            addr = cache.insert(BytesView(data)).value();
+            addr = cache.insert(data).value();
         }
         appended += data.size();
     }
@@ -100,8 +100,8 @@ BENCHMARK(BM_CacheAppendChain)->Arg(100)->Arg(4096);
 
 void BM_CacheGet(benchmark::State& state) {
     BlockCache cache(cacheCfg());
-    Bytes data(static_cast<size_t>(state.range(0)), 0xEF);
-    auto addr = cache.insert(BytesView(data)).value();
+    const BufChain data(Bytes(static_cast<size_t>(state.range(0)), 0xEF));
+    auto addr = cache.insert(data).value();
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.get(addr));
     }

@@ -331,8 +331,7 @@ void KafkaConsumer::fetchLoop() {
 
 std::unique_ptr<KafkaProducer> KafkaCluster::makeProducer(sim::HostId clientHost,
                                                           const std::string& topic) {
-    static uint64_t seed = 0x7A57E;
-    return std::make_unique<KafkaProducer>(*this, clientHost, topic, mix64(++seed));
+    return std::make_unique<KafkaProducer>(*this, clientHost, topic, mix64(++producerSeed_));
 }
 
 std::unique_ptr<KafkaConsumer> KafkaCluster::makeConsumer(sim::HostId clientHost,

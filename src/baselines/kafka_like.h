@@ -193,6 +193,8 @@ private:
     std::vector<Broker> brokers_;
     std::map<std::string, Topic> topics_;
     uint64_t bytesProduced_ = 0;
+    /// Seeds this cluster's producers: the same config makes the same run.
+    uint64_t producerSeed_ = 0x7A57E;
     sim::Lifetime life_;  // produce pipelines and fetch responses
 };
 

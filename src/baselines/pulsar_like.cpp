@@ -318,18 +318,17 @@ void PulsarConsumer::catchUpLoop() {
 
     if (offset_ < part->length) {
         // Read from BookKeeper / broker cache (fast path). Tail records
-        // carry produce timestamps for e2e latency; key-ordered dispatch
-        // pays extra passes and per-event CPU (§5.5).
+        // carry produce timestamps for e2e latency; a keyed record is held
+        // back until key-ordered dispatch has made its passes (§5.5). Only
+        // that hold is modelled, not the passes' CPU.
         uint64_t bytes = 0;
         uint32_t events = 0;
         sim::TimePoint oldest = cluster_.exec_.now();
-        bool withKeys = false;
         int64_t newOffset = offset_;
         sim::Duration hold = 0;
         for (const auto& rec : part->records) {
             if (rec.endOffset <= offset_) continue;
             if (rec.withKeys) {
-                withKeys = true;
                 hold = cluster_.cfg_.dispatchInterval *
                        (cluster_.cfg_.keyOrderedDispatchPasses - 1);
                 if (rec.producedAt + hold > cluster_.exec_.now()) break;
@@ -376,8 +375,7 @@ void PulsarConsumer::catchUpLoop() {
 
 std::unique_ptr<PulsarProducer> PulsarCluster::makeProducer(sim::HostId clientHost,
                                                             const std::string& topic) {
-    static uint64_t seed = 0x9E37;
-    return std::make_unique<PulsarProducer>(*this, clientHost, topic, mix64(++seed));
+    return std::make_unique<PulsarProducer>(*this, clientHost, topic, mix64(++producerSeed_));
 }
 
 std::unique_ptr<PulsarConsumer> PulsarCluster::makeConsumer(sim::HostId clientHost,

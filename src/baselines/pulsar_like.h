@@ -217,6 +217,8 @@ private:
     uint64_t bytesProduced_ = 0;
     uint64_t offloadedBytes_ = 0;
     uint64_t nextLog_ = 0x50AA0000;
+    /// Seeds this cluster's producers: the same config makes the same run.
+    uint64_t producerSeed_ = 0x9E37;
     sim::Lifetime life_;  // produce pipelines, offloads and dispatch deliveries
 };
 

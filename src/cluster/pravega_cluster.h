@@ -39,7 +39,6 @@ struct ClusterConfig {
     sim::DiskModel::Config journalDrive;
     segmentstore::SegmentStore::Config store;
     sim::Link::Config link;
-    controller::Controller::Config controller;
 
     LtsKind ltsKind = LtsKind::SimulatedObject;
     sim::ObjectStoreModel::Config lts;
@@ -58,7 +57,6 @@ struct ClusterConfig {
     /// flush path (outermost decorator — archived chunks stay compressed).
     /// Off by default; the golden smoke JSON depends on that.
     bool compressLts = false;
-    lts::CodecChunkStorage::Config ltsCodec;
 
     /// Load-aware container rebalancing across segment stores: replaces
     /// the boot-time static `cid % N` placement with a greedy move-budget

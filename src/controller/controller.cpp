@@ -9,14 +9,15 @@ namespace pravega::controller {
 namespace {
 constexpr const char* kLog = "controller";
 constexpr const char* kStreamKeyPrefix = "streams/";
+/// Container hosting the controller's own metadata tables.
+constexpr uint32_t kMetadataContainer = 0;
+/// Retention policy enforcement cadence.
+constexpr sim::Duration kRetentionInterval = sim::sec(5);
 }  // namespace
 
-Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg)
-    : exec_(exec),
-      registry_(registry),
-      cfg_(cfg),
-      retention_(exec, [this]() { sweepRetention(); }) {
-    retention_.every(cfg_.retentionInterval);
+Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry)
+    : exec_(exec), registry_(registry), retention_(exec, [this]() { sweepRetention(); }) {
+    retention_.every(kRetentionInterval);
 }
 
 segmentstore::SegmentContainer* Controller::containerOf(SegmentId segment) const {
@@ -94,13 +95,11 @@ sim::Future<sim::Unit> Controller::deleteStream(const std::string& scopedName) {
         if (auto* c = containerOf(seg.id)) futures.push_back(c->deleteSegment(seg.id));
     }
     streams_.erase(it);
-    if (cfg_.persistMetadata) {
-        if (auto* meta = registry_.containerFor(cfg_.metadataContainer)) {
-            std::vector<segmentstore::TableUpdate> batch(1);
-            batch[0].key = kStreamKeyPrefix + scopedName;
-            batch[0].value = std::nullopt;  // removal
-            meta->tableUpdate(meta->systemTableSegment(), std::move(batch));
-        }
+    if (auto* meta = registry_.containerFor(kMetadataContainer)) {
+        std::vector<segmentstore::TableUpdate> batch(1);
+        batch[0].key = kStreamKeyPrefix + scopedName;
+        batch[0].value = std::nullopt;  // removal
+        meta->tableUpdate(meta->systemTableSegment(), std::move(batch));
     }
     return sim::whenAll(futures).then([](const sim::Unit&) { return sim::Unit{}; });
 }
@@ -245,10 +244,9 @@ uint32_t Controller::scaleEventCount(const std::string& scopedName) const {
 }
 
 void Controller::persist(const std::string& scopedName) {
-    if (!cfg_.persistMetadata) return;
     auto it = streams_.find(scopedName);
     if (it == streams_.end()) return;
-    auto* meta = registry_.containerFor(cfg_.metadataContainer);
+    auto* meta = registry_.containerFor(kMetadataContainer);
     if (!meta) return;
     Bytes value;
     BinaryWriter w(value);

@@ -34,17 +34,7 @@ struct SegmentUri {
 
 class Controller {
 public:
-    struct Config {
-        /// Container hosting the controller's own metadata tables.
-        uint32_t metadataContainer = 0;
-        /// Retention policy enforcement cadence.
-        sim::Duration retentionInterval = sim::sec(5);
-        bool persistMetadata = true;
-    };
-
-    Controller(sim::Core& exec, cluster::ContainerRegistry& registry)
-        : Controller(exec, registry, Config{}) {}
-    Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg);
+    Controller(sim::Core& exec, cluster::ContainerRegistry& registry);
 
     // ---- stream life-cycle --------------------------------------------
     Status createScope(const std::string& scope);
@@ -101,7 +91,6 @@ private:
 
     sim::Core& exec_;
     cluster::ContainerRegistry& registry_;
-    Config cfg_;
 
     std::map<std::string, StreamRecord> streams_;
     std::map<std::string, bool> scopes_;

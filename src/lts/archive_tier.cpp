@@ -28,12 +28,12 @@ ArchiveTierChunkStorage::ArchiveTierChunkStorage(sim::Core& exec, ChunkStorage& 
 }
 
 uint64_t ArchiveTierChunkStorage::cartridgeFor(const std::string& name) const {
-    // Hash the segment prefix (chunk names are "seg-<id>-<offset>"), so one
-    // segment's chunks land on one cartridge: catch-up reads pay one mount.
-    size_t dash = name.find_last_of('-');
-    return fnv1a64(std::string_view(name).substr(0, dash == std::string::npos
-                                                        ? name.size()
-                                                        : dash));
+    // Hash the "seg-<id>" prefix of the chunk name ("seg-<id>-<offset>", or
+    // "seg-<id>-<offset>-c<gen>" once compacted), so one segment's chunks
+    // land on one cartridge: catch-up reads pay one mount.
+    size_t first = name.find('-');
+    size_t second = first == std::string::npos ? first : name.find('-', first + 1);
+    return fnv1a64(std::string_view(name).substr(0, second));
 }
 
 Future<Unit> ArchiveTierChunkStorage::create(const std::string& name) {

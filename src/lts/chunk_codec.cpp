@@ -21,6 +21,12 @@ constexpr size_t kMaxLiteral = 128;  // control byte (len - 1) < 0x80
 constexpr uint64_t kLowBits = 0x0101010101010101ULL;
 constexpr uint64_t kHighBits = 0x8080808080808080ULL;
 
+// Virtual CPU cost of CodecChunkStorage's codec stage (zstd-class
+// throughputs).
+constexpr double kCompressBytesPerSec = 1.5 * 1024 * 1024 * 1024;
+constexpr double kDecompressBytesPerSec = 4.0 * 1024 * 1024 * 1024;
+constexpr int kCpuLanes = 4;
+
 /// Index of the lowest non-zero byte of a non-zero little-endian word.
 size_t firstSetByte(uint64_t x) { return static_cast<size_t>(std::countr_zero(x)) / 8; }
 
@@ -198,11 +204,10 @@ Result<Bytes> ChunkCodec::decodeBlock(BytesView stored) {
 
 // -------------------------------------------------------- CodecChunkStorage
 
-CodecChunkStorage::CodecChunkStorage(sim::Core& exec, ChunkStorage& inner, Config cfg)
+CodecChunkStorage::CodecChunkStorage(sim::Core& exec, ChunkStorage& inner)
     : exec_(exec),
       inner_(inner),
-      cfg_(cfg),
-      cpu_(exec, sim::CpuModel::Config{cfg.cpuLanes, sim::usec(2), cfg.compressBytesPerSec}),
+      cpu_(exec, sim::CpuModel::Config{kCpuLanes, sim::usec(2), kCompressBytesPerSec}),
       mRawBytes_(exec.metrics().counter("lts.codec.raw_bytes")),
       mStoredBytes_(exec.metrics().counter("lts.codec.stored_bytes")),
       mBlocks_(exec.metrics().counter("lts.codec.blocks")),
@@ -232,7 +237,7 @@ Future<Unit> CodecChunkStorage::append(const std::string& name, BufChain data) {
 
     sim::Promise<Unit> p;
     auto fut = p.future();
-    sim::Duration compressTime = sim::transferTime(rawLen, cfg_.compressBytesPerSec);
+    sim::Duration compressTime = sim::transferTime(rawLen, kCompressBytesPerSec);
     cpu_.executeFor(compressTime)
         .onComplete([this, name, rawLen, storedLen, block = std::move(block),
                      p](const Result<Unit>&) mutable {
@@ -334,7 +339,7 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
             mDecodeNs_.record(exec_.now() - startedAt);
             // Decompression charges CPU for every decoded block byte — the
             // read amplification cost of block-granular compression.
-            cpu_.executeFor(sim::transferTime(decodedRaw, cfg_.decompressBytesPerSec))
+            cpu_.executeFor(sim::transferTime(decodedRaw, kDecompressBytesPerSec))
                 .onComplete([p, result](const Result<Unit>&) mutable { p.setValue(result); });
         });
     return fut;

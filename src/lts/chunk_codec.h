@@ -85,16 +85,7 @@ struct ChunkCodec {
 /// `totalBytes()` reports the backend's stored (reduced) footprint.
 class CodecChunkStorage : public ChunkStorage {
 public:
-    struct Config {
-        /// Virtual CPU cost of the codec stage (zstd-class throughputs).
-        double compressBytesPerSec = 1.5 * 1024 * 1024 * 1024;
-        double decompressBytesPerSec = 4.0 * 1024 * 1024 * 1024;
-        int cpuLanes = 4;
-    };
-
-    CodecChunkStorage(sim::Core& exec, ChunkStorage& inner, Config cfg);
-    CodecChunkStorage(sim::Core& exec, ChunkStorage& inner)
-        : CodecChunkStorage(exec, inner, Config{}) {}
+    CodecChunkStorage(sim::Core& exec, ChunkStorage& inner);
 
     sim::Future<sim::Unit> create(const std::string& name) override;
     sim::Future<sim::Unit> append(const std::string& name, BufChain data) override;
@@ -126,7 +117,6 @@ private:
 
     sim::Core& exec_;
     ChunkStorage& inner_;
-    Config cfg_;
     sim::CpuModel cpu_;
     std::map<std::string, ChunkIndex> chunks_;
     Bytes rawScratch_;     // grow-only: the flattened append

@@ -98,98 +98,51 @@ void BlockCache::freeBlock(CacheAddress a) {
     }
 }
 
-Result<CacheAddress> BlockCache::insert(BytesView data) {
+Result<CacheAddress> BlockCache::insert(const BufChain& data) {
     auto first = allocBlock();
     if (!first) return first.status();
-    CacheAddress last = first.value();
-    meta(last).prev = kInvalidAddress;
-
-    size_t pos = std::min<size_t>(data.size(), cfg_.blockSize);
-    std::memcpy(blockData(last), data.data(), pos);
-    meta(last).length = static_cast<uint32_t>(pos);
-    storedBytes_ += pos;
-
-    if (pos < data.size()) {
-        auto extended = append(last, data.subspan(pos));
-        if (!extended) {
-            remove(last);
-            return extended.status();
-        }
-        last = extended.value();
-    }
-    return last;
-}
-
-Result<CacheAddress> BlockCache::insert(const BufChain& data) {
-    if (data.empty()) return insert(BytesView());
-    const auto& frags = data.fragments();
-    auto addr = insert(frags[0].view());
-    if (!addr) return addr.status();
-    CacheAddress last = addr.value();
-    for (size_t i = 1; i < frags.size(); ++i) {
-        auto extended = append(last, frags[i].view());
-        if (!extended) {
-            remove(last);
-            return extended.status();
-        }
-        last = extended.value();
-    }
+    meta(first.value()).prev = kInvalidAddress;
+    auto last = append(first.value(), data);
+    // A failed append has freed every block but the first: drop it too.
+    if (!last) remove(first.value());
     return last;
 }
 
 Result<CacheAddress> BlockCache::append(CacheAddress address, const BufChain& data) {
-    CacheAddress last = address;
-    for (const auto& frag : data.fragments()) {
-        auto extended = append(last, frag.view());
-        if (!extended) return extended.status();
-        last = extended.value();
-    }
-    return last;
-}
-
-Result<CacheAddress> BlockCache::append(CacheAddress address, BytesView data) {
     if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
     CacheAddress last = address;
-    size_t pos = 0;
-
-    // Fill the remaining capacity of the current last block first.
-    {
-        BlockMeta& m = meta(last);
-        uint32_t room = cfg_.blockSize - m.length;
-        size_t n = std::min<size_t>(room, data.size());
-        if (n > 0) {
-            std::memcpy(blockData(last) + m.length, data.data(), n);
-            m.length += static_cast<uint32_t>(n);
-            pos += n;
-            storedBytes_ += n;
-        }
-    }
-
-    // Then chain fresh blocks for the remainder.
-    while (pos < data.size()) {
-        auto blk = allocBlock();
-        if (!blk) {
-            // Unwind blocks chained by THIS call before failing: callers
-            // only know `address`, and chains point backward, so anything
-            // past it would be unreachable and leak forever. The entry
-            // survives in its topped-up original state (old blocks plus the
-            // fill of the old last block), which is exactly the state
-            // `entryLength(address)` reports.
-            while (last != address) {
-                CacheAddress prev = meta(last).prev;
-                storedBytes_ -= meta(last).length;
-                freeBlock(last);
-                last = prev;
+    for (const auto& frag : data.fragments()) {
+        BytesView rest = frag.view();
+        while (!rest.empty()) {
+            if (meta(last).length == cfg_.blockSize) {
+                // The last block is full: chain a fresh one.
+                auto blk = allocBlock();
+                if (!blk) {
+                    // Unwind blocks chained by THIS call before failing:
+                    // callers only know `address`, and chains point
+                    // backward, so anything past it would be unreachable
+                    // and leak forever. The entry survives in its topped-up
+                    // original state (old blocks plus the fill of the old
+                    // last block), which is what `entryLength(address)`
+                    // reports.
+                    while (last != address) {
+                        CacheAddress prev = meta(last).prev;
+                        storedBytes_ -= meta(last).length;
+                        freeBlock(last);
+                        last = prev;
+                    }
+                    return blk.status();
+                }
+                meta(blk.value()).prev = last;
+                last = blk.value();
             }
-            return blk.status();
+            BlockMeta& m = meta(last);
+            size_t n = std::min<size_t>(cfg_.blockSize - m.length, rest.size());
+            std::memcpy(blockData(last) + m.length, rest.data(), n);
+            m.length += static_cast<uint32_t>(n);
+            storedBytes_ += n;
+            rest = rest.subspan(n);
         }
-        meta(blk.value()).prev = last;
-        size_t n = std::min<size_t>(cfg_.blockSize, data.size() - pos);
-        std::memcpy(blockData(blk.value()), data.data() + pos, n);
-        meta(blk.value()).length = static_cast<uint32_t>(n);
-        storedBytes_ += n;
-        pos += n;
-        last = blk.value();
     }
     return last;
 }

@@ -34,21 +34,16 @@ public:
 
     explicit BlockCache(Config cfg);
 
-    /// Stores a new entry; returns the address of its last block.
-    Result<CacheAddress> insert(BytesView data);
-
-    /// Chain-aware insert: copies fragment by fragment straight into cache
-    /// blocks (the single block-granularity copy of the ingest path — the
-    /// chain is never flattened first).
+    /// Stores a new entry; returns the address of its last block. Copies
+    /// fragment by fragment straight into cache blocks (the single
+    /// block-granularity copy of the ingest path: the chain is never
+    /// flattened first). On CacheFull no block stays allocated.
     Result<CacheAddress> insert(const BufChain& data);
 
     /// Appends to an existing entry; returns the (possibly new) address of
-    /// the entry's last block. O(1) in the entry length.
-    Result<CacheAddress> append(CacheAddress address, BytesView data);
-
-    /// Chain-aware append. On CacheFull the entry survives with every
-    /// fragment that fit (consistent lengths — callers resync via
-    /// entryLength, same contract as the view overload's topped-up state).
+    /// the entry's last block. O(1) in the entry length. On CacheFull the
+    /// entry keeps its old blocks, its old last block filled up with the
+    /// first bytes of `data`; callers resync via entryLength.
     Result<CacheAddress> append(CacheAddress address, const BufChain& data);
 
     /// Reassembles the full entry by walking the predecessor chain.

@@ -174,13 +174,20 @@ void SegmentContainer::failAllPending(Status error) {
         for (auto& w : std::exchange(meta.flushWaiters, {})) w.promise.setError(error);
     }
     fetches_.reset();
-    for (auto& [id, meta] : segments_) {
-        for (auto& [start, fetch] : std::exchange(meta.fetches, {})) {
-            for (auto& w : fetch.waiters) w.promise.setError(error);
-        }
-        meta.readState = SegmentReadState{};
+    for (auto& [id, meta] : segments_) dropFetches(meta, error);
+}
+
+void SegmentContainer::dropFetches(SegmentMeta& meta, const Status& error) {
+    meta.readState = SegmentReadState{};
+    for (auto& [start, fetch] : std::exchange(meta.fetches, {})) {
+        if (fetch.prefetch) refundPrefetch(start, fetch.end);
+        for (auto& w : fetch.waiters) w.promise.setError(error);
     }
-    prefetchInflightBytes_ = 0;
+}
+
+void SegmentContainer::refundPrefetch(int64_t start, int64_t end) {
+    uint64_t bytes = static_cast<uint64_t>(end - start);
+    prefetchInflightBytes_ -= std::min(prefetchInflightBytes_, bytes);
 }
 
 // ------------------------------------------------------------- admission
@@ -235,17 +242,7 @@ sim::Future<sim::Unit> SegmentContainer::createSegment(SegmentId id, std::string
     op.segment = id;
     op.name = std::move(name);
     op.isTable = isTable;
-
-    sim::Promise<sim::Unit> p;
-    auto fut = p.future();
-    enqueueOp(std::move(op), [p](const Result<int64_t>& r) mutable {
-        if (r.isOk()) {
-            p.setValue(sim::Unit{});
-        } else {
-            p.setError(r.status());
-        }
-    });
-    return fut;
+    return enqueueUnitOp(std::move(op));
 }
 
 sim::Future<int64_t> SegmentContainer::append(SegmentId id, SharedBuf data, WriterId writer,
@@ -326,16 +323,7 @@ sim::Future<sim::Unit> SegmentContainer::seal(SegmentId id) {
     Operation op;
     op.type = OpType::Seal;
     op.segment = id;
-    sim::Promise<sim::Unit> p;
-    auto fut = p.future();
-    enqueueOp(std::move(op), [p](const Result<int64_t>& r) mutable {
-        if (r.isOk()) {
-            p.setValue(sim::Unit{});
-        } else {
-            p.setError(r.status());
-        }
-    });
-    return fut;
+    return enqueueUnitOp(std::move(op));
 }
 
 sim::Future<sim::Unit> SegmentContainer::truncate(SegmentId id, int64_t newStartOffset) {
@@ -351,16 +339,7 @@ sim::Future<sim::Unit> SegmentContainer::truncate(SegmentId id, int64_t newStart
     op.type = OpType::Truncate;
     op.segment = id;
     op.offset = newStartOffset;
-    sim::Promise<sim::Unit> p;
-    auto fut = p.future();
-    enqueueOp(std::move(op), [p](const Result<int64_t>& r) mutable {
-        if (r.isOk()) {
-            p.setValue(sim::Unit{});
-        } else {
-            p.setError(r.status());
-        }
-    });
-    return fut;
+    return enqueueUnitOp(std::move(op));
 }
 
 sim::Future<sim::Unit> SegmentContainer::deleteSegment(SegmentId id) {
@@ -374,16 +353,7 @@ sim::Future<sim::Unit> SegmentContainer::deleteSegment(SegmentId id) {
     Operation op;
     op.type = OpType::Delete;
     op.segment = id;
-    sim::Promise<sim::Unit> p;
-    auto fut = p.future();
-    enqueueOp(std::move(op), [p](const Result<int64_t>& r) mutable {
-        if (r.isOk()) {
-            p.setValue(sim::Unit{});
-        } else {
-            p.setError(r.status());
-        }
-    });
-    return fut;
+    return enqueueUnitOp(std::move(op));
 }
 
 Result<SegmentProperties> SegmentContainer::getInfo(SegmentId id) const {
@@ -469,6 +439,19 @@ void SegmentContainer::enqueueOp(Operation op, Completion completion) {
     } else {
         frameTimer_.arm(currentBatchDelay());
     }
+}
+
+sim::Future<sim::Unit> SegmentContainer::enqueueUnitOp(Operation op) {
+    sim::Promise<sim::Unit> p;
+    auto fut = p.future();
+    enqueueOp(std::move(op), [p = std::move(p)](const Result<int64_t>& r) mutable {
+        if (r.isOk()) {
+            p.setValue(sim::Unit{});
+        } else {
+            p.setError(r.status());
+        }
+    });
+    return fut;
 }
 
 sim::Duration SegmentContainer::currentBatchDelay() const {
@@ -623,16 +606,7 @@ void SegmentContainer::applyOp(Operation& op, int64_t walSequence, bool replay) 
                 readIndex_.removeSegment(op.segment);
                 meta.attributes.clear();
                 storageWriter_->notifyDeleted(op.segment);
-                meta.readState = SegmentReadState{};
-                for (auto& [start, fetch] : std::exchange(meta.fetches, {})) {
-                    if (fetch.prefetch) {
-                        uint64_t bytes = static_cast<uint64_t>(fetch.end - start);
-                        prefetchInflightBytes_ -= std::min(prefetchInflightBytes_, bytes);
-                    }
-                    for (auto& w : fetch.waiters) {
-                        w.promise.setError(Status(Err::NotFound, "segment deleted"));
-                    }
-                }
+                dropFetches(meta, Status(Err::NotFound, "segment deleted"));
                 if (!replay) wakeTailWaiters(meta);
                 wakeFlushWaiters(meta);
             }
@@ -859,7 +833,7 @@ void SegmentContainer::attemptRead(SegmentMeta& meta, int64_t offset, int64_t ma
             meta.props.sealed &&
             offset + static_cast<int64_t>(res.data.size()) >= meta.appliedLength;
         int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
-        consumePrefetched(meta, offset, readEnd);
+        if (carvePrefetched(meta, offset, readEnd) > 0) mPrefetchHits_.inc();
         noteSequentialHit(meta, offset, readEnd);
         std::move(promise).complete(std::move(res));
         return;
@@ -894,7 +868,8 @@ void SegmentContainer::attemptRead(SegmentMeta& meta, int64_t offset, int64_t ma
     }
     // A demand miss over a range we prefetched means the prefetch was
     // evicted before use — charge it as waste.
-    chargeWastedPrefetch(meta, miss.offset, miss.offset + miss.length);
+    int64_t wasted = carvePrefetched(meta, miss.offset, miss.offset + miss.length);
+    if (wasted > 0) mPrefetchWasted_.inc(static_cast<uint64_t>(wasted));
 
     // Coalesce onto an in-flight fetch already covering the miss offset:
     // this reader rides that fetch instead of issuing its own.
@@ -981,7 +956,7 @@ int64_t SegmentContainer::startFetch(SegmentMeta& meta, int64_t start, int64_t e
             .onComplete(fetches_.guard([this, id, start, insertAt](const Result<SharedBuf>& r) {
                 Status st;
                 if (r.isOk()) {
-                    readIndex_.insertFromStorage(id, insertAt, r.value().view());
+                    readIndex_.insertFromStorage(id, insertAt, r.value());
                 } else {
                     st = r.status();
                 }
@@ -998,7 +973,7 @@ void SegmentContainer::finishFetchPiece(SegmentMeta& meta, int64_t start, Status
     auto eit = meta.fetches.find(start);
     if (eit == meta.fetches.end()) return;
     InflightFetch& entry = eit->second;
-    if (!st && entry.failure) entry.failure = st;  // keep the first failure
+    if (!st && entry.status) entry.status = st;  // keep the first failure
     if (--entry.piecesRemaining > 0) return;
 
     // Fetch complete: detach the entry before waking waiters — their
@@ -1007,10 +982,9 @@ void SegmentContainer::finishFetchPiece(SegmentMeta& meta, int64_t start, Status
     meta.fetches.erase(eit);
 
     if (done.prefetch) {
-        uint64_t bytes = static_cast<uint64_t>(done.end - start);
-        prefetchInflightBytes_ -= std::min(prefetchInflightBytes_, bytes);
+        refundPrefetch(start, done.end);
         mPrefetchFetchNs_.record(exec_.now() - done.startedAt);
-        if (done.failure) {
+        if (done.status) {
             // Record the landed range so later hits count as prefetch hits
             // and eviction-before-use lands on the waste counter.
             auto& pf = meta.readState.prefetched;
@@ -1036,10 +1010,10 @@ void SegmentContainer::finishFetchPiece(SegmentMeta& meta, int64_t start, Status
     }
 
     for (auto& w : done.waiters) {
-        if (done.failure) {
+        if (done.status) {
             attemptRead(meta, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
         } else {
-            w.promise.setError(done.failure);
+            w.promise.setError(done.status);
         }
     }
 }
@@ -1085,48 +1059,26 @@ void SegmentContainer::noteSequentialHit(SegmentMeta& meta, int64_t offset, int6
     if (state.streak >= cfg_.readPipeline.sequentialStreak) maybePrefetch(meta, readEnd);
 }
 
-void SegmentContainer::consumePrefetched(SegmentMeta& meta, int64_t offset, int64_t readEnd) {
+int64_t SegmentContainer::carvePrefetched(SegmentMeta& meta, int64_t start, int64_t end) {
     auto& pf = meta.readState.prefetched;
-    bool any = false;
-    auto it = pf.lower_bound(offset);
+    int64_t overlap = 0;
+    auto it = pf.lower_bound(start);
     if (it != pf.begin()) {
         auto prev = std::prev(it);
-        if (prev->second > offset) it = prev;
+        if (prev->second > start) it = prev;
     }
-    while (it != pf.end() && it->first < readEnd) {
+    while (it != pf.end() && it->first < end) {
         int64_t a = it->first;
         int64_t b = it->second;
-        any = true;
+        overlap += std::min(b, end) - std::max(a, start);
         it = pf.erase(it);
-        if (a < offset) pf.emplace(a, offset);
-        if (b > readEnd) {
-            it = pf.emplace(readEnd, b).first;
+        if (a < start) pf.emplace(a, start);
+        if (b > end) {
+            it = pf.emplace(end, b).first;
             ++it;
         }
     }
-    if (any) mPrefetchHits_.inc();
-}
-
-void SegmentContainer::chargeWastedPrefetch(SegmentMeta& meta, int64_t missStart,
-                                            int64_t missEnd) {
-    auto& pf = meta.readState.prefetched;
-    auto it = pf.lower_bound(missStart);
-    if (it != pf.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second > missStart) it = prev;
-    }
-    while (it != pf.end() && it->first < missEnd) {
-        int64_t a = it->first;
-        int64_t b = it->second;
-        int64_t overlap = std::min(b, missEnd) - std::max(a, missStart);
-        it = pf.erase(it);
-        if (overlap > 0) mPrefetchWasted_.inc(static_cast<uint64_t>(overlap));
-        if (a < missStart) pf.emplace(a, missStart);
-        if (b > missEnd) {
-            it = pf.emplace(missEnd, b).first;
-            ++it;
-        }
-    }
+    return overlap;
 }
 
 // ----------------------------------------------------------- observation

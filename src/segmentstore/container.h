@@ -211,7 +211,7 @@ private:
         bool prefetch = false;
         int piecesRemaining = 0;
         sim::TimePoint startedAt = 0;
-        Status failure;  // first piece failure, if any
+        Status status;  // ok, or the first piece failure
         std::vector<PendingRead> waiters;
     };
     /// Per-segment readahead state.
@@ -259,6 +259,8 @@ private:
     void admit(F fn);
 
     void enqueueOp(Operation op, Completion completion);
+    /// enqueueOp for ops whose callers only learn success or failure.
+    sim::Future<sim::Unit> enqueueUnitOp(Operation op);
     void closeFrame();
     void applyFrame(std::vector<Operation> ops, std::vector<Completion> completions,
                     int64_t walSequence);
@@ -272,6 +274,11 @@ private:
     /// it, then retries them in parking order.
     void retryParked(SegmentMeta& meta, std::vector<PendingRead>& list, int64_t limit);
     void failAllPending(Status error);
+    /// Fails every in-flight fetch's riders with `error`, refunds the
+    /// prefetch budget of the prefetches among them, and drops the
+    /// segment's readahead state.
+    void dropFetches(SegmentMeta& meta, const Status& error);
+    void refundPrefetch(int64_t start, int64_t end);
     void attemptRead(SegmentMeta& meta, int64_t offset, int64_t maxBytes,
                      sim::Promise<ReadResult> promise, int depth, bool counted);
     /// Starts an LTS fetch for [start, end) (parallel per-chunk pieces,
@@ -284,8 +291,11 @@ private:
     void finishFetchPiece(SegmentMeta& meta, int64_t start, Status st);
     void maybePrefetch(SegmentMeta& meta, int64_t from);
     void noteSequentialHit(SegmentMeta& meta, int64_t offset, int64_t readEnd);
-    void consumePrefetched(SegmentMeta& meta, int64_t offset, int64_t readEnd);
-    void chargeWastedPrefetch(SegmentMeta& meta, int64_t missStart, int64_t missEnd);
+    /// Removes [start, end) from the segment's prefetched ranges, splitting
+    /// any range that straddles an end; returns the bytes removed. A read
+    /// hit counts a prefetch hit when it removes any; a demand miss charges
+    /// what it removes as wasted prefetch.
+    int64_t carvePrefetched(SegmentMeta& meta, int64_t start, int64_t end);
     void truncateWalIfPossible();
     /// Drops `id`'s chunk records from the system table, as its Delete is
     /// enqueued or replayed: the same point in the log either way.

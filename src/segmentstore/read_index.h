@@ -60,10 +60,8 @@ public:
     /// Tail append at `offset` (must equal current indexed length unless
     /// the index has gaps from eviction — gaps are fine, appends are not
     /// required to be contiguous with evicted history).
-    Status append(SegmentId segment, int64_t offset, BytesView data);
-
-    /// Chain variant of the tail append: fragments are copied straight
-    /// into cache blocks, the chain itself is never flattened.
+    /// Fragments are copied straight into cache blocks; the chain itself
+    /// is never flattened.
     Status append(SegmentId segment, int64_t offset, const BufChain& data);
 
     /// Inserts data fetched from LTS covering [offset, offset+size). Bytes
@@ -71,7 +69,7 @@ public:
     /// overlapping floor entry (possible after eviction plus a concurrent
     /// refetch of a stale gap) and against any ceiling entries, filling
     /// only the real gaps. Never double-indexes a byte.
-    Status insertFromStorage(SegmentId segment, int64_t offset, BytesView data);
+    Status insertFromStorage(SegmentId segment, int64_t offset, BufChain data);
 
     /// Attempts to serve [offset, offset+maxBytes) for a segment whose
     /// current length is `segmentLength` and truncation point `startOffset`.
@@ -113,7 +111,6 @@ private:
         int64_t storageLength = 0;
     };
 
-    Status insertEntry(SegmentIndex& idx, int64_t offset, BytesView data);
     Status insertEntry(SegmentIndex& idx, int64_t offset, BufChain data);
 
     /// Debug-build invariant: entries of `idx` are non-overlapping and

@@ -142,7 +142,9 @@ TEST_P(AvlPropertyTest, MatchesStdMapUnderRandomOps) {
                 break;
             }
         }
-        if (op % 500 == 0) ASSERT_TRUE(tree.checkInvariants());
+        if (op % 500 == 0) {
+            ASSERT_TRUE(tree.checkInvariants());
+        }
     }
     ASSERT_TRUE(tree.checkInvariants());
     EXPECT_EQ(tree.size(), reference.size());

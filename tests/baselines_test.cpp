@@ -3,7 +3,9 @@
 // OOM mechanism under a lagging bookie, and the tiering offloader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <vector>
 
 #include "baselines/kafka_like.h"
 #include "baselines/pulsar_like.h"
@@ -92,6 +94,34 @@ TEST_F(KafkaFixture, StickyPartitioningConcentratesBatches) {
     producer->flush();
     exec.runFor(sim::sec(1));
     EXPECT_EQ(acked, 1000);
+}
+
+TEST(KafkaSeedTest, SameConfigGivesSamePartitionBytes) {
+    // Producer seeds come from their cluster, not from how many producers
+    // the process made before: two identical clusters built one after the
+    // other spread the same keyless sends over the same partitions.
+    constexpr int kPartitions = 8;
+    auto run = [] {
+        sim::Machine exec;
+        sim::Network net{exec, sim::Link::Config{}};
+        KafkaCluster kafka(exec, net, /*firstBrokerHost=*/500, KafkaConfig{});
+        kafka.createTopic("t", kPartitions);
+        std::vector<uint64_t> bytes(kPartitions, 0);
+        std::vector<std::unique_ptr<KafkaConsumer>> consumers;
+        for (int p = 0; p < kPartitions; ++p) {
+            consumers.push_back(kafka.makeConsumer(
+                2, "t", p, [&bytes, p](uint32_t, uint64_t n, sim::Duration) { bytes[p] += n; }));
+        }
+        auto producer = kafka.makeProducer(1, "t");
+        for (int i = 0; i < 2000; ++i) producer->send("", 512, {});
+        producer->flush();
+        exec.runFor(sim::sec(2));
+        return bytes;
+    };
+    auto first = run();
+    auto second = run();
+    EXPECT_EQ(first, second);
+    EXPECT_GT(std::count_if(first.begin(), first.end(), [](uint64_t b) { return b > 0; }), 1);
 }
 
 TEST_F(KafkaFixture, ProducerBufferLimitRejectsWhenFull) {

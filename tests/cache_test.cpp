@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 
 #include "segmentstore/cache.h"
@@ -30,7 +31,7 @@ Bytes pattern(size_t n, uint8_t seed = 1) {
 TEST(BlockCacheTest, InsertAndGetSmallEntry) {
     BlockCache cache(smallConfig());
     Bytes data = pattern(10);
-    auto addr = cache.insert(BytesView(data));
+    auto addr = cache.insert(BufChain(data));
     ASSERT_TRUE(addr.isOk());
     EXPECT_EQ(cache.get(addr.value()).value(), data);
     EXPECT_EQ(cache.entryLength(addr.value()).value(), 10u);
@@ -40,7 +41,7 @@ TEST(BlockCacheTest, InsertAndGetSmallEntry) {
 TEST(BlockCacheTest, EntrySpanningMultipleBlocks) {
     BlockCache cache(smallConfig());
     Bytes data = pattern(200);  // 4 blocks at 64B
-    auto addr = cache.insert(BytesView(data));
+    auto addr = cache.insert(BufChain(data));
     ASSERT_TRUE(addr.isOk());
     EXPECT_EQ(cache.get(addr.value()).value(), data);
     EXPECT_EQ(cache.usedBlocks(), 4u);
@@ -48,8 +49,8 @@ TEST(BlockCacheTest, EntrySpanningMultipleBlocks) {
 
 TEST(BlockCacheTest, AppendFillsLastBlockFirst) {
     BlockCache cache(smallConfig());
-    auto addr = cache.insert(BytesView(pattern(10))).value();
-    auto addr2 = cache.append(addr, BytesView(pattern(20, 99)));
+    auto addr = cache.insert(BufChain(pattern(10))).value();
+    auto addr2 = cache.append(addr, BufChain(pattern(20, 99)));
     ASSERT_TRUE(addr2.isOk());
     // 30 bytes fit in one 64B block: address must be unchanged (O(1) append
     // into the last block, the Fig 4 design point).
@@ -60,8 +61,8 @@ TEST(BlockCacheTest, AppendFillsLastBlockFirst) {
 
 TEST(BlockCacheTest, AppendChainsNewBlocksAndMovesAddress) {
     BlockCache cache(smallConfig());
-    auto addr = cache.insert(BytesView(pattern(60))).value();
-    auto addr2 = cache.append(addr, BytesView(pattern(10, 7))).value();
+    auto addr = cache.insert(BufChain(pattern(60))).value();
+    auto addr2 = cache.append(addr, BufChain(pattern(10, 7))).value();
     EXPECT_NE(addr2, addr);  // a second block was chained
     Bytes expected = pattern(60);
     Bytes tail = pattern(10, 7);
@@ -75,12 +76,12 @@ TEST(BlockCacheTest, AppendChainsNewBlocksAndMovesAddress) {
 
 TEST(BlockCacheTest, ManyAppendsAccumulate) {
     BlockCache cache(smallConfig());
-    auto addr = cache.insert(BytesView(pattern(1))).value();
+    auto addr = cache.insert(BufChain(pattern(1))).value();
     Bytes expected = pattern(1);
     for (int i = 0; i < 50; ++i) {
         Bytes piece = pattern(7, static_cast<uint8_t>(i));
         expected.insert(expected.end(), piece.begin(), piece.end());
-        auto r = cache.append(addr, BytesView(piece));
+        auto r = cache.append(addr, BufChain(piece));
         ASSERT_TRUE(r.isOk());
         addr = r.value();
     }
@@ -90,12 +91,12 @@ TEST(BlockCacheTest, ManyAppendsAccumulate) {
 TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
     BlockCache cache(smallConfig());
     // Appends that straddle blocks leave them unevenly filled.
-    auto addr = cache.insert(BytesView(pattern(50))).value();
+    auto addr = cache.insert(BufChain(pattern(50))).value();
     Bytes whole = pattern(50);
     for (size_t n : {30u, 5u, 90u}) {
         Bytes piece = pattern(n, static_cast<uint8_t>(n));
         whole.insert(whole.end(), piece.begin(), piece.end());
-        addr = cache.append(addr, BytesView(piece)).value();
+        addr = cache.append(addr, BufChain(piece)).value();
     }
     ASSERT_EQ(cache.get(addr).value(), whole);
     for (uint64_t off = 0; off <= whole.size() + 2; ++off) {
@@ -112,7 +113,7 @@ TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
 
 TEST(BlockCacheTest, RemoveFreesAllBlocks) {
     BlockCache cache(smallConfig());
-    auto addr = cache.insert(BytesView(pattern(300))).value();
+    auto addr = cache.insert(BufChain(pattern(300))).value();
     EXPECT_GT(cache.usedBlocks(), 0u);
     EXPECT_TRUE(cache.remove(addr).isOk());
     EXPECT_EQ(cache.usedBlocks(), 0u);
@@ -125,7 +126,7 @@ TEST(BlockCacheTest, FreedBlocksAreReused) {
     cfg.maxBuffers = 1;  // 8 blocks total
     BlockCache cache(cfg);
     for (int round = 0; round < 10; ++round) {
-        auto addr = cache.insert(BytesView(pattern(64 * 8)));  // fills the buffer
+        auto addr = cache.insert(BufChain(pattern(64 * 8)));  // fills the buffer
         ASSERT_TRUE(addr.isOk()) << "round " << round;
         EXPECT_EQ(cache.usedBlocks(), 8u);
         cache.remove(addr.value());
@@ -135,20 +136,54 @@ TEST(BlockCacheTest, FreedBlocksAreReused) {
 TEST(BlockCacheTest, CacheFullWhenAllBuffersExhausted) {
     auto cfg = smallConfig();  // 4 buffers × 8 blocks × 64B = 2 KB
     BlockCache cache(cfg);
-    auto big = cache.insert(BytesView(pattern(64 * 8 * 4)));
+    auto big = cache.insert(BufChain(pattern(64 * 8 * 4)));
     ASSERT_TRUE(big.isOk());
-    auto more = cache.insert(BytesView(pattern(1)));
+    auto more = cache.insert(BufChain(pattern(1)));
     EXPECT_EQ(more.code(), Err::CacheFull);
     cache.remove(big.value());
-    EXPECT_TRUE(cache.insert(BytesView(pattern(1))).isOk());
+    EXPECT_TRUE(cache.insert(BufChain(pattern(1))).isOk());
+}
+
+BufChain fragments(std::initializer_list<size_t> sizes) {
+    BufChain out;
+    uint8_t seed = 1;
+    for (size_t n : sizes) out.append(pattern(n, seed++));
+    return out;
+}
+
+TEST(BlockCacheTest, MultiFragmentInsertThatRunsOutLeavesCacheUnchanged) {
+    BlockCache cache(smallConfig());  // 32 blocks
+    ASSERT_TRUE(cache.insert(BufChain(pattern(64 * 20))).isOk());
+    const uint32_t blocks = cache.usedBlocks();
+    const uint64_t bytes = cache.storedBytes();
+    // Three fragments of five blocks each; only twelve blocks are free.
+    auto r = cache.insert(fragments({64 * 5, 64 * 5, 64 * 5}));
+    EXPECT_EQ(r.code(), Err::CacheFull);
+    EXPECT_EQ(cache.usedBlocks(), blocks);
+    EXPECT_EQ(cache.storedBytes(), bytes);
+}
+
+TEST(BlockCacheTest, MultiFragmentAppendThatRunsOutKeepsToppedUpEntry) {
+    BlockCache cache(smallConfig());  // 32 blocks
+    auto addr = cache.insert(BufChain(pattern(10))).value();
+    ASSERT_TRUE(cache.insert(BufChain(pattern(64 * 29))).isOk());
+    ASSERT_EQ(cache.usedBlocks(), 30u);
+    const uint64_t bytes = cache.storedBytes();
+    // The first fragment tops up the entry's block and chains one more;
+    // the second needs four more blocks, and only one is left.
+    auto r = cache.append(addr, fragments({100, 200}));
+    EXPECT_EQ(r.code(), Err::CacheFull);
+    EXPECT_EQ(cache.usedBlocks(), 30u);
+    EXPECT_EQ(cache.entryLength(addr).value(), 64u);
+    EXPECT_EQ(cache.storedBytes(), bytes + 54);
 }
 
 TEST(BlockCacheTest, BuffersAllocatedLazily) {
     BlockCache cache(smallConfig());
     EXPECT_EQ(cache.allocatedBuffers(), 0u);
-    cache.insert(BytesView(pattern(1)));
+    cache.insert(BufChain(pattern(1)));
     EXPECT_EQ(cache.allocatedBuffers(), 1u);
-    cache.insert(BytesView(pattern(64 * 8)));  // overflows into buffer 2
+    cache.insert(BufChain(pattern(64 * 8)));  // overflows into buffer 2
     EXPECT_EQ(cache.allocatedBuffers(), 2u);
 }
 
@@ -156,13 +191,13 @@ TEST(BlockCacheTest, UtilizationTracksUsedBlocks) {
     auto cfg = smallConfig();  // 32 blocks max
     BlockCache cache(cfg);
     EXPECT_DOUBLE_EQ(cache.utilization(), 0.0);
-    cache.insert(BytesView(pattern(64 * 16)));
+    cache.insert(BufChain(pattern(64 * 16)));
     EXPECT_DOUBLE_EQ(cache.utilization(), 0.5);
 }
 
 TEST(BlockCacheTest, EmptyInsertOccupiesOneBlock) {
     BlockCache cache(smallConfig());
-    auto addr = cache.insert(BytesView());
+    auto addr = cache.insert(BufChain());
     ASSERT_TRUE(addr.isOk());
     EXPECT_EQ(cache.entryLength(addr.value()).value(), 0u);
     EXPECT_EQ(cache.usedBlocks(), 1u);
@@ -172,7 +207,7 @@ TEST(BlockCacheTest, InvalidAddressRejected) {
     BlockCache cache(smallConfig());
     EXPECT_EQ(cache.get(kInvalidAddress).code(), Err::InvalidArgument);
     EXPECT_EQ(cache.get(12345).code(), Err::InvalidArgument);
-    EXPECT_EQ(cache.append(777, BytesView()).code(), Err::InvalidArgument);
+    EXPECT_EQ(cache.append(777, BufChain()).code(), Err::InvalidArgument);
     EXPECT_EQ(cache.remove(1).code(), Err::InvalidArgument);
 }
 
@@ -193,7 +228,7 @@ TEST_P(BlockCachePropertyTest, MatchesReferenceModel) {
         if (dice < 4 || reference.empty()) {
             Bytes data(rng.nextBounded(100));
             for (auto& b : data) b = static_cast<uint8_t>(rng.next());
-            auto addr = cache.insert(BytesView(data));
+            auto addr = cache.insert(BufChain(data));
             if (addr.isOk()) {
                 reference[addr.value()] = std::move(data);
             } else {
@@ -204,7 +239,7 @@ TEST_P(BlockCachePropertyTest, MatchesReferenceModel) {
             auto it = std::next(reference.begin(), static_cast<long>(idx));
             Bytes extra(rng.nextBounded(80));
             for (auto& b : extra) b = static_cast<uint8_t>(rng.next());
-            auto newAddr = cache.append(it->first, BytesView(extra));
+            auto newAddr = cache.append(it->first, BufChain(extra));
             if (newAddr.isOk()) {
                 Bytes combined = it->second;
                 combined.insert(combined.end(), extra.begin(), extra.end());

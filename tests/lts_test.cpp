@@ -728,6 +728,28 @@ TEST_F(ArchiveTierTest, SegmentChunksShareACartridge) {
     EXPECT_EQ(archive_.tape().mounts(), mountsAfterMigration);
 }
 
+TEST_F(ArchiveTierTest, CompactedChunkSharesItsSegmentsCartridge) {
+    // A compacted chunk keeps its segment's cartridge: with one drive,
+    // migrating a plain chunk and a merged one of the same segment pays
+    // one mount. (Hashing up to the last '-' put the merged chunk, whose
+    // name ends in "-c<gen>", on the cartridge of "seg-<id>-<offset>".)
+    ArchiveTierChunkStorage::Config cfg = config();
+    cfg.tape.drives = 1;
+    sim::Machine exec;
+    InMemoryChunkStorage mem;
+    ArchiveTierChunkStorage arch(exec, mem, cfg);
+    for (const char* name : {"seg-0000000000000007-000000004096",
+                             "seg-0000000000000007-000000000000-c1"}) {
+        waitStatus(exec, arch.create(name));
+        waitStatus(exec, arch.append(name, BufChain(Bytes(512, 3))));
+    }
+    exec.runFor(sim::sec(2));
+    arch.scanNow();
+    exec.runUntilIdle();
+    ASSERT_EQ(arch.archivedChunks(), 2u);
+    EXPECT_EQ(arch.tape().mounts(), 1u);
+}
+
 TEST_F(ArchiveTierTest, MultiExtentChunkMigratesByteIdentical) {
     // Migration reads the whole primary chunk (a gather across its extents)
     // and stores it on tape as one extent.
