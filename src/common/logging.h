@@ -15,7 +15,10 @@ void setLogLevel(LogLevel level);
 void logMessage(LogLevel level, const char* component, const std::string& msg);
 
 namespace detail {
-std::string formatLog(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+// nonnull: without it, GCC's UBSan instrumentation of the first vsnprintf
+// leaves a null-format path that -Wformat-truncation reports at the second.
+std::string formatLog(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2), nonnull(1)));
 }  // namespace detail
 
 #define PLOG(level, component, ...)                                             \

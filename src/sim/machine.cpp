@@ -1,5 +1,6 @@
 #include "sim/machine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -11,7 +12,6 @@ namespace pravega::sim {
 Core::Core(Machine& machine, int id, uint64_t rngSeed)
     : machine_(&machine),
       id_(id),
-      slots_(kWheelSlots),
       rng_(rngSeed),
       metrics_(std::make_unique<obs::MetricsRegistry>(
           [m = &machine] { return m->now(); })) {}
@@ -24,122 +24,31 @@ void Core::push(Duration delay, Task fn, bool weak) {
         ++regularPending_;
         ++machine_->regularPending_;
     }
-    const TimePoint at = machine_->now() + delay;
-    const uint64_t seq = seq_++;
-
-    Tier tier;
-    size_t slot = 0;
-    size_t idx = 0;
-    if (delay == 0) {
-        // Zero-delay post: `at == now`, and now is monotone, so the deque
-        // is already (time, seq)-ordered.
-        tier = Tier::Due;
-        idx = dueNow_.size();
-        dueNow_.push_back(Entry{at, seq, weak, std::move(fn)});
+    uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<uint32_t>(tasks_.size());
+        tasks_.push_back(std::move(fn));
     } else {
-        const uint64_t absSlot = static_cast<uint64_t>(at) >> kWheelShift;
-        const uint64_t nowSlot = static_cast<uint64_t>(machine_->now()) >> kWheelShift;
-        if (absSlot - nowSlot < kWheelSlots) {
-            tier = Tier::Wheel;
-            slot = static_cast<size_t>(absSlot & (kWheelSlots - 1));
-            idx = slots_[slot].size();
-            slots_[slot].push_back(Entry{at, seq, weak, std::move(fn)});
-            ++wheelCount_;
-            if (absSlot < wheelCursor_) wheelCursor_ = absSlot;
-        } else {
-            tier = Tier::Far;
-            far_.push(Entry{at, seq, weak, std::move(fn)});
-        }
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        tasks_[slot] = std::move(fn);
     }
-
-    // Incremental cached-min maintenance: a push can only improve the min.
-    if (minTier_ == Tier::None || at < minAt_ || (at == minAt_ && seq < minSeq_)) {
-        minTier_ = tier;
-        minAt_ = at;
-        minSeq_ = seq;
-        minSlot_ = slot;
-        minIdx_ = idx;
-    }
+    heap_.push_back(Key{machine_->now() + delay, seq_++, slot, weak});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-Core::Entry Core::pop() {
-    assert(minTier_ != Tier::None && "pop on empty core queue");
-    Entry e;
-    switch (minTier_) {
-        case Tier::Due:
-            e = std::move(dueNow_.front());
-            dueNow_.pop_front();
-            break;
-        case Tier::Wheel: {
-            auto& v = slots_[minSlot_];
-            e = std::move(v[minIdx_]);
-            // Swap-remove: slot order is irrelevant (the min scan compares
-            // (time, seq) keys, never positions).
-            if (minIdx_ + 1 != v.size()) v[minIdx_] = std::move(v.back());
-            v.pop_back();
-            --wheelCount_;
-            break;
-        }
-        case Tier::Far:
-            // priority_queue::top() is const; move out via const_cast,
-            // standard idiom for pop-and-consume queues of move-only
-            // payloads.
-            e = std::move(const_cast<Entry&>(far_.top()));
-            far_.pop();
-            break;
-        case Tier::None:
-            break;  // unreachable (asserted above)
-    }
-    if (!e.weak) {
+Core::Task Core::pop() {
+    assert(!heap_.empty() && "pop on empty core queue");
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key k = heap_.back();
+    heap_.pop_back();
+    Task fn = std::move(tasks_[k.slot]);
+    freeSlots_.push_back(k.slot);
+    if (!k.weak) {
         --regularPending_;
         --machine_->regularPending_;
     }
-    recomputeMin();
-    return e;
-}
-
-void Core::consider(TimePoint at, uint64_t seq, Tier tier, size_t slot, size_t idx) {
-    if (minTier_ == Tier::None || at < minAt_ || (at == minAt_ && seq < minSeq_)) {
-        minTier_ = tier;
-        minAt_ = at;
-        minSeq_ = seq;
-        minSlot_ = slot;
-        minIdx_ = idx;
-    }
-}
-
-void Core::recomputeMin() {
-    minTier_ = Tier::None;
-    if (!dueNow_.empty()) {
-        const Entry& e = dueNow_.front();
-        consider(e.at, e.seq, Tier::Due, 0, 0);
-    }
-    if (wheelCount_ > 0) {
-        // All pending wheel entries lie within one horizon window above the
-        // current virtual time (at >= now, and admission requires
-        // at < pushNow + horizon <= now + horizon), so starting the scan at
-        // the current time's slot can't skip anything and no physical slot
-        // mixes laps.
-        const uint64_t nowSlot = static_cast<uint64_t>(machine_->now()) >> kWheelShift;
-        if (wheelCursor_ < nowSlot) wheelCursor_ = nowSlot;
-        while (slots_[static_cast<size_t>(wheelCursor_ & (kWheelSlots - 1))].empty()) {
-            ++wheelCursor_;
-        }
-        const size_t slot = static_cast<size_t>(wheelCursor_ & (kWheelSlots - 1));
-        const auto& v = slots_[slot];
-        size_t bestIdx = 0;
-        for (size_t i = 1; i < v.size(); ++i) {
-            if (v[i].at < v[bestIdx].at ||
-                (v[i].at == v[bestIdx].at && v[i].seq < v[bestIdx].seq)) {
-                bestIdx = i;
-            }
-        }
-        consider(v[bestIdx].at, v[bestIdx].seq, Tier::Wheel, slot, bestIdx);
-    }
-    if (!far_.empty()) {
-        const Entry& e = far_.top();
-        consider(e.at, e.seq, Tier::Far, 0, 0);
-    }
+    return fn;
 }
 
 Machine::Machine(MachineConfig cfg) : cfg_(cfg) {
@@ -189,8 +98,7 @@ int Machine::pickNext() {
         }
         // Global merge order: (time, core id, per-core seq). Core id breaks
         // same-time ties across shards (strict < keeps the lowest id);
-        // per-core seq orders within a shard and is folded into the cached
-        // minimum. Only cached integers are compared here — no queue peeks.
+        // per-core seq orders within a shard and is part of the heap key.
         if (core.minAt() < cores_[static_cast<size_t>(best)]->minAt()) best = c;
     }
     return best;
@@ -198,11 +106,12 @@ int Machine::pickNext() {
 
 void Machine::dispatch(int c) {
     Core& core = *cores_[static_cast<size_t>(c)];
-    Core::Entry e = core.pop();
-    assert(e.at >= now_ && "merge order regressed the clock");
-    now_ = e.at;
+    const TimePoint at = core.minAt();
+    Core::Task fn = core.pop();
+    assert(at >= now_ && "merge order regressed the clock");
+    now_ = at;
     runningCore_ = c;
-    e.fn();
+    fn();
     runningCore_ = -1;
     ++executedEvents_;
 }

@@ -32,27 +32,15 @@
 // currently executing is a direct call (no queueing, no cost), mirroring
 // what sharded runtimes do for same-shard submits.
 //
-// Event-queue fast path: each core keeps its pending events in three tiers
-// instead of one binary heap —
-//   1. a due-now FIFO for zero-delay posts (at == now when pushed, so the
-//      deque is already in (time, seq) order: O(1) push and pop, no heap
-//      sifting of task payloads),
-//   2. a timer wheel for the near future (slot width 2^kWheelShift ns,
-//      kWheelSlots slots ≈ 16.8 ms horizon): O(1) push into an unsorted
-//      slot, pops scan only the cursor slot,
-//   3. a far heap for everything beyond the wheel horizon (rare:
-//      long-fuse timeouts, background rearm timers).
-// Each core maintains a cached (time, seq) key of its earliest pending
-// event, updated incrementally on push/pop, so the machine's dispatch loop
-// compares plain integers across cores instead of peeking N priority
-// queues. The merge order is unchanged: within a core (time, seq); across
-// cores ties in time go to the lowest core id.
+// Event queue: each core keeps one binary min-heap of small keys
+// `{at, seq, slot, weak}`, ordered by (time, seq). The tasks themselves sit
+// in a slab indexed by `slot`, so heap sifts move 24-byte keys and never a
+// 72-byte `Task`. The machine's dispatch loop compares the heap tops of the
+// cores; across cores, ties in time go to the lowest core id.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "sim/callback.h"
@@ -119,70 +107,45 @@ public:
     /// This shard's deterministic RNG stream.
     Rng& rng() { return rng_; }
 
-    size_t pendingTasks() const { return dueNow_.size() + wheelCount_ + far_.size(); }
+    size_t pendingTasks() const { return heap_.size(); }
     size_t pendingRegularTasks() const { return regularPending_; }
 
 private:
     friend class Machine;
 
-    // Timer-wheel geometry: 2^13 ns (≈8.2 µs) slots × 2048 slots ≈ 16.8 ms
-    // horizon. Everything the hot path schedules (I/O completions, batch
-    // timers, mailbox hand-offs) lands inside it.
-    static constexpr uint32_t kWheelShift = 13;
-    static constexpr size_t kWheelSlots = 2048;
-
-    struct Entry {
+    /// Heap entry; the task it stands for is `tasks_[slot]`.
+    struct Key {
         TimePoint at;
         uint64_t seq;  // per-core FIFO tie-break for same-time events
+        uint32_t slot;
         bool weak;
-        Task fn;
     };
+    /// `std::push_heap` builds a max-heap, so "less" is "fires later".
     struct Later {
-        bool operator()(const Entry& a, const Entry& b) const {
+        bool operator()(const Key& a, const Key& b) const {
             if (a.at != b.at) return a.at > b.at;
             return a.seq > b.seq;
         }
     };
-    enum class Tier : uint8_t { None, Due, Wheel, Far };
 
     Core(Machine& machine, int id, uint64_t rngSeed);
     void push(Duration delay, Task fn, bool weak);
-    /// Pops the earliest entry (queue must be non-empty) and refreshes the
-    /// cached minimum.
-    Entry pop();
-    /// Recomputes the cached (time, seq) minimum across the three tiers.
-    void recomputeMin();
-    /// Offers a candidate to the cached minimum during recomputation.
-    void consider(TimePoint at, uint64_t seq, Tier tier, size_t slot, size_t idx);
+    /// Removes the earliest task (the queue must be non-empty) and moves it
+    /// out of the slab: the caller runs it, and a push from inside it may
+    /// grow the slab.
+    Task pop();
 
-    bool hasPending() const { return minTier_ != Tier::None; }
-    TimePoint minAt() const { return minAt_; }
+    bool hasPending() const { return !heap_.empty(); }
+    TimePoint minAt() const { return heap_.front().at; }
 
     Machine* machine_;
     int id_;
     uint64_t seq_ = 0;
     size_t regularPending_ = 0;
 
-    // Tier 1: zero-delay posts, already in (time, seq) order.
-    std::deque<Entry> dueNow_;
-    // Tier 2: near-future timer wheel. Slots hold unsorted entries; the
-    // cursor (an ABSOLUTE slot index, at >> kWheelShift) only moves forward
-    // except when a push lands behind it. All pending wheel entries fit in
-    // one horizon window relative to the current virtual time, so a
-    // physical slot never mixes laps.
-    std::vector<std::vector<Entry>> slots_;
-    size_t wheelCount_ = 0;
-    uint64_t wheelCursor_ = 0;  // absolute slot index of the scan position
-    // Tier 3: beyond the wheel horizon.
-    std::priority_queue<Entry, std::vector<Entry>, Later> far_;
-
-    // Cached earliest pending event (valid when minTier_ != None). minSlot_/
-    // minIdx_ locate it inside the wheel when minTier_ == Wheel.
-    Tier minTier_ = Tier::None;
-    TimePoint minAt_ = 0;
-    uint64_t minSeq_ = 0;
-    size_t minSlot_ = 0;
-    size_t minIdx_ = 0;
+    std::vector<Key> heap_;
+    std::vector<Task> tasks_;         // slab; a free slot holds an empty Task
+    std::vector<uint32_t> freeSlots_;
 
     Rng rng_;
     // unique_ptr + out-of-line ctor/dtor keep obs/metrics.h out of this
@@ -284,8 +247,8 @@ private:
     }
 
     /// Core holding the globally-earliest event under the (time, core, seq)
-    /// merge order, or -1 when every queue is empty. Compares the per-core
-    /// cached minima — plain integer compares, no queue peeks.
+    /// merge order, or -1 when every queue is empty. Compares the time of
+    /// each core's heap top.
     int pickNext();
 
     /// Pops and runs the earliest event of core `c` (which pickNext just

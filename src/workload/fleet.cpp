@@ -1,6 +1,7 @@
 #include "workload/fleet.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "common/hash.h"
@@ -33,8 +34,10 @@ FleetWorkload::FleetWorkload(cluster::PravegaCluster& cluster, FleetConfig cfg)
         // the per-event hot path then never builds key strings.
         std::vector<double> hashes;
         hashes.reserve(static_cast<size_t>(keyZipf_.back()->size()));
+        char key[24] = {'k'};  // "k" + decimal rank, built in place
         for (uint64_t k = 0; k < keyZipf_.back()->size(); ++k) {
-            hashes.push_back(pravega::keyHash01("k" + std::to_string(k)));
+            const char* end = std::to_chars(key + 1, key + sizeof(key), k).ptr;
+            hashes.push_back(pravega::keyHash01(std::string_view(key, static_cast<size_t>(end - key))));
         }
         keyHash_.push_back(std::move(hashes));
 

@@ -848,12 +848,12 @@ TEST(ShardingTest, SingleCoreReproducesPreShardGoldenTrace) {
 }
 
 
-// --- event-queue fast path -------------------------------------------------
-// The scheduler keeps per-core three-tier queues (due-now FIFO / timer
-// wheel / far heap) with an incrementally cached minimum. These tests pin
-// down (a) the merge order against a brute-force reference, (b) the
-// one-selection-per-dispatch contract of the dispatch loops, and (c) the
-// wheel-horizon edge cases.
+// --- event queue -----------------------------------------------------------
+// Each core keeps one binary min-heap of (time, seq) keys over a slab of
+// tasks. These tests pin down (a) the merge order against a brute-force
+// reference, (b) the one-selection-per-dispatch contract of the dispatch
+// loops, (c) order across delays from zero to tens of milliseconds, and
+// (d) that a running task survives a push that grows the slab.
 
 TEST(SchedulerFastPath, DifferentialOrderMatchesReferenceMergeOrder) {
     Machine m;
@@ -981,6 +981,37 @@ TEST(SchedulerFastPath, PendingRegularTasksIsIncremental) {
     m.runUntilIdle();
     EXPECT_EQ(m.pendingRegularTasks(), 0u);
     EXPECT_EQ(m.pendingTasks(), 1u);  // the weak timer stays queued
+}
+
+TEST(SchedulerFastPath, SlabGrowsWhileATaskRuns) {
+    // Each task schedules enough others to reallocate the task slab several
+    // times, then reads its own capture. The task must have been moved out
+    // of the slab before it ran: run in place, an inline closure would read
+    // freed slab storage.
+    Machine m;
+    std::string text(100, 'x');  // not const: a const capture is copied, not moved
+    std::vector<size_t> seen;
+    auto spawn = [&m] {
+        for (int i = 0; i < 1000; ++i) m.schedule(1, [] {});
+    };
+    std::array<char, 16> pad16{};
+    auto inlineTask = [&seen, &spawn, text, pad16] {
+        spawn();
+        seen.push_back(text.size() + pad16.size());
+    };
+    std::array<char, 64> pad64{};
+    auto spilledTask = [&seen, &spawn, text, pad64] {
+        spawn();
+        seen.push_back(text.size() + pad64.size());
+    };
+    static_assert(sizeof(inlineTask) <= Core::Task::kInlineBytes);
+    static_assert(sizeof(spilledTask) > Core::Task::kInlineBytes);
+    m.post(std::move(inlineTask));
+    m.post(std::move(spilledTask));
+    m.runUntilIdle();
+    EXPECT_EQ(seen, (std::vector<size_t>{116, 164}));
+    EXPECT_EQ(m.executedEvents(), 2002u);
+    EXPECT_EQ(m.pendingTasks(), 0u);
 }
 
 }  // namespace
