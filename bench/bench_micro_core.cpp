@@ -372,6 +372,8 @@ struct Replay {
     uint64_t desEvents = 0;
     uint64_t bytesCopied = 0;
     uint64_t copyOps = 0;
+    uint64_t storeCopied = 0;
+    uint64_t storeZeroed = 0;
     uint64_t heapAllocs = 0;
     double wallSec = 0;
 };
@@ -404,6 +406,8 @@ Replay replayScenario() {
     r.heapAllocs = gHeapAllocs - allocsBefore;
     r.bytesCopied = bufstats::bytesCopied;
     r.copyOps = bufstats::copyOps;
+    r.storeCopied = bufstats::storeBytesCopied;
+    r.storeZeroed = bufstats::storeBytesZeroed;
     return r;
 }
 
@@ -437,9 +441,12 @@ void runDeterministicScenario() {
     // (virtual-time deterministic). bytes_copied_per_event is the
     // buffer-abstraction bytes copied per CLIENT event: 1x the payload on
     // the append path (the framing copy) plus the tail readers' hand-out
-    // copy (fetched bytes are adopted, not copied). allocs_per_event is
-    // operator-new calls per client event over the same replay
-    // (deterministic for one build).
+    // copy (fetched bytes are adopted, not copied). The store_* columns
+    // are the segment store's own payload bytes copied and zero-filled per
+    // client event: the read-reply gather and in-memory LTS reads that span
+    // extents (the cache and LTS hold slices of the appended bytes, so
+    // appends add none). allocs_per_event is operator-new calls per client
+    // event over the same replay (deterministic for one build).
     report.section("engine: DES event loop + copy budget");
     const double desEvents = static_cast<double>(first.desEvents);
     const double clientEvents = static_cast<double>(first.stats.sent > 0 ? first.stats.sent : 1);
@@ -449,6 +456,8 @@ void runDeterministicScenario() {
          {"events_per_sec", wallSec > 0 ? desEvents / wallSec : 0.0},
          {"bytes_copied_per_event", static_cast<double>(first.bytesCopied) / clientEvents},
          {"copy_ops_per_event", static_cast<double>(first.copyOps) / clientEvents},
+         {"store_bytes_copied_per_event", static_cast<double>(first.storeCopied) / clientEvents},
+         {"store_bytes_zeroed_per_event", static_cast<double>(first.storeZeroed) / clientEvents},
          {"allocs_per_event", static_cast<double>(first.heapAllocs) / clientEvents}},
         nullptr, "events/sec is wall-clock; copy and alloc columns are deterministic");
     addCodecRow(report);

@@ -225,7 +225,8 @@ diff "${OUT_DIR}/BENCH_fig13_autoscaling.json" "${FLEET_B}/BENCH_fig13_autoscali
 echo "fig13 determinism OK: fleet sweep byte-identical across runs"
 
 echo "== perf gate: events/sec, codec MB/s, segment scaling, LTS append, allocations vs baseline =="
-# The copy budget, the allocation ceiling, the codec row's stored size and
+# The copy budget, the store-side copy and zero-fill budget, the allocation
+# ceiling, the codec row's stored size and
 # CRC, and the lts-append row's stored bytes are deterministic and always
 # enforced. The events/sec
 # and codec MB/s floors are wall-clock and only meaningful on an
@@ -245,6 +246,13 @@ want = base["values"]["bytes_copied_per_event"]
 assert copied == want, (
     f"copy budget changed: {copied} bytes copied per event, baseline {want} "
     f"(exactly one client-side framing copy plus the reader's hand-out copy)")
+for col, what in (("store_bytes_copied_per_event", "copied"),
+                  ("store_bytes_zeroed_per_event", "zero-filled")):
+    got, want = row["values"][col], base["values"][col]
+    assert got == want, (
+        f"store-side budget changed: {got} payload bytes {what} per event in the "
+        f"segment store, baseline {want} (the cache and LTS hold slices; a hit "
+        f"reply is one gather)")
 codec = next(r for r in cur["rows"] if r["series"] == "codec")["values"]
 for col, key in (("stored_bytes", "codec_stored_bytes"), ("crc32", "codec_crc32")):
     got, want = codec[col], base["values"][key]

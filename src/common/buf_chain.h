@@ -10,6 +10,12 @@
 // `appendCopy`, `linearize` of a multi-fragment chain, `toBytes`,
 // `copyOut`), and each such copy is recorded in pravega::bufstats.
 //
+// The block cache and the in-memory LTS keep the fragments they are given
+// (DESIGN.md §8), so the client's block is the one physical copy of an
+// appended byte. A fragment pins its whole storage, slack capacity
+// included, for as long as any holder keeps it: a slice is cheap to take
+// and costs its buffer's memory to keep.
+//
 // Chains are value types: copying a BufChain copies the fragment vector
 // (cheap shared_ptr bumps), never the payload. Fragments are immutable, so
 // two chains sharing storage can never observe each other's appends.

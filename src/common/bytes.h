@@ -57,11 +57,8 @@ public:
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     const uint8_t* data() const { return storage_ ? storage_->data() + offset_ : nullptr; }
-    /// True when this buffer is its whole allocation: no sub-slice and no
-    /// spare capacity, so holding it on to pins no bytes beyond its own.
-    bool spansStorage() const {
-        return storage_ && offset_ == 0 && size_ == storage_->capacity();
-    }
+    /// Handles sharing this buffer's storage, this one included (0 if empty).
+    uint32_t useCount() const { return storage_ ? storage_.useCount() : 0; }
 
 private:
     Counted<const Bytes> storage_;

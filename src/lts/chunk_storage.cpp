@@ -31,19 +31,11 @@ Future<Unit> InMemoryChunkStorage::append(const std::string& name, BufChain data
     if (it == chunks_.end()) return fail(Err::NotFound, "no such chunk");
     if (data.empty()) return okUnit();
     Chunk& chunk = it->second;
-    const auto& frags = data.fragments();
-    SharedBuf extent;
-    if (frags.size() == 1 && frags[0].spansStorage()) {
-        extent = frags[0];
-    } else {
-        Bytes copy;
-        copy.reserve(data.size());
-        data.forEachFragment([&](const SharedBuf& frag) { pravega::append(copy, frag.view()); });
-        extent = SharedBuf(std::move(copy));
-    }
-    chunk.starts.push_back(chunk.size);
-    chunk.extents.push_back(std::move(extent));
-    chunk.size += data.size();
+    data.forEachFragment([&](const SharedBuf& frag) {
+        chunk.starts.push_back(chunk.size);
+        chunk.extents.push_back(frag);
+        chunk.size += frag.size();
+    });
     totalBytes_ += data.size();
     return okUnit();
 }
@@ -71,6 +63,7 @@ Future<SharedBuf> InMemoryChunkStorage::read(const std::string& name, uint64_t o
         BytesView ext = chunk.extents[i].view().subspan(skip);
         pravega::append(out, ext.first(std::min<size_t>(ext.size(), n - out.size())));
     }
+    bufstats::recordStoreCopy(out.size());
     return Future<SharedBuf>::ready(SharedBuf(std::move(out)));
 }
 
@@ -153,6 +146,7 @@ Future<SharedBuf> NoOpChunkStorage::read(const std::string& name, uint64_t offse
     // Data was discarded; return zero-filled bytes of the right size so
     // read paths can still be exercised for timing.
     uint64_t n = std::min(length, it->second - offset);
+    bufstats::recordStoreZeroFill(static_cast<size_t>(n));
     return Future<SharedBuf>::ready(SharedBuf(Bytes(static_cast<size_t>(n), 0)));
 }
 

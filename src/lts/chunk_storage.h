@@ -59,13 +59,14 @@ public:
 /// backend for unit tests, and the data plane under SimulatedObjectStorage
 /// and the archive tier.
 ///
-/// A chunk is an append-only list of immutable extents, one per append, so
-/// filling a chunk costs O(bytes) however many appends it takes. An append
-/// copies its chain once into an exact-size extent (the terminal media
-/// write, outside bufstats), or adopts a one-fragment chain that spans its
-/// whole buffer (a codec block) with no copy; a partial slice is never
-/// adopted, since it would pin the larger buffer behind it. A read inside
-/// one extent returns a slice of it; a read across extents is gathered once.
+/// A chunk is an append-only list of immutable extents, one per fragment
+/// of each appended chain, so filling a chunk costs O(fragments) however
+/// many appends it takes, and no byte is copied. A flush chain's fragments
+/// are slices of the appended Operation::data (the client's block), so the
+/// chunk shares the one physical copy of those bytes with the cache; an
+/// extent pins its whole buffer (growth slack included) until the chunk is
+/// removed (DESIGN.md §8). A read inside one extent returns a slice of it;
+/// a read across extents is gathered once (a store-side copy in bufstats).
 class InMemoryChunkStorage : public ChunkStorage {
 public:
     sim::Future<sim::Unit> create(const std::string& name) override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace pravega::segmentstore {
 
@@ -19,14 +18,6 @@ bool BlockCache::validAddress(CacheAddress a) const {
     uint32_t buf = bufferOf(a);
     uint32_t blk = blockOf(a);
     return buf < buffers_.size() && blk < cfg_.blocksPerBuffer && buffers_[buf].blocks[blk].used;
-}
-
-uint8_t* BlockCache::blockData(CacheAddress a) {
-    return buffers_[bufferOf(a)].data.get() + static_cast<size_t>(blockOf(a)) * cfg_.blockSize;
-}
-
-const uint8_t* BlockCache::blockData(CacheAddress a) const {
-    return buffers_[bufferOf(a)].data.get() + static_cast<size_t>(blockOf(a)) * cfg_.blockSize;
 }
 
 BlockCache::BlockMeta& BlockCache::meta(CacheAddress a) {
@@ -63,12 +54,9 @@ Result<CacheAddress> BlockCache::allocBlock() {
 
     if (buffers_.size() >= cfg_.maxBuffers) return Status(Err::CacheFull, "all buffers full");
 
-    // Pre-allocate a contiguous buffer and chain all its blocks as free.
+    // Open a new buffer and chain all its blocks as free.
     uint32_t bufId = static_cast<uint32_t>(buffers_.size());
     Buffer buf;
-    // Left uninitialized: readers stop at each block's written `length`.
-    buf.data = std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(cfg_.blocksPerBuffer) *
-                                                         cfg_.blockSize);
     buf.blocks.resize(cfg_.blocksPerBuffer);
     for (uint32_t i = 0; i < cfg_.blocksPerBuffer; ++i) {
         buf.blocks[i].nextFree = (i + 1 < cfg_.blocksPerBuffer) ? i + 1 : UINT32_MAX;
@@ -101,7 +89,15 @@ void BlockCache::freeBlock(CacheAddress a) {
 Result<CacheAddress> BlockCache::insert(const BufChain& data) {
     auto first = allocBlock();
     if (!first) return first.status();
-    meta(first.value()).prev = kInvalidAddress;
+    uint32_t slot;
+    if (freeEntries_.empty()) {
+        slot = static_cast<uint32_t>(entries_.size());
+        entries_.emplace_back();
+    } else {
+        slot = freeEntries_.back();
+        freeEntries_.pop_back();
+    }
+    meta(first.value()).entry = slot;
     auto last = append(first.value(), data);
     // A failed append has freed every block but the first: drop it too.
     if (!last) remove(first.value());
@@ -110,72 +106,61 @@ Result<CacheAddress> BlockCache::insert(const BufChain& data) {
 
 Result<CacheAddress> BlockCache::append(CacheAddress address, const BufChain& data) {
     if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
+    const uint32_t slot = meta(address).entry;
+    // What the entry keeps if a fresh block cannot be had: the bytes that
+    // fit in its old last block.
+    const size_t kept = std::min<size_t>(cfg_.blockSize - meta(address).length, data.size());
     CacheAddress last = address;
-    for (const auto& frag : data.fragments()) {
-        BytesView rest = frag.view();
-        while (!rest.empty()) {
-            if (meta(last).length == cfg_.blockSize) {
-                // The last block is full: chain a fresh one.
-                auto blk = allocBlock();
-                if (!blk) {
-                    // Unwind blocks chained by THIS call before failing:
-                    // callers only know `address`, and chains point
-                    // backward, so anything past it would be unreachable
-                    // and leak forever. The entry survives in its topped-up
-                    // original state (old blocks plus the fill of the old
-                    // last block), which is what `entryLength(address)`
-                    // reports.
-                    while (last != address) {
-                        CacheAddress prev = meta(last).prev;
-                        storedBytes_ -= meta(last).length;
-                        freeBlock(last);
-                        last = prev;
-                    }
-                    return blk.status();
+    size_t rest = data.size();
+    while (rest > 0) {
+        if (meta(last).length == cfg_.blockSize) {
+            // The last block is full: chain a fresh one.
+            auto blk = allocBlock();
+            if (!blk) {
+                // Unwind blocks chained by THIS call before failing:
+                // callers only know `address`, and chains point
+                // backward, so anything past it would be unreachable
+                // and leak forever. The entry survives in its topped-up
+                // original state (old blocks plus the fill of the old
+                // last block), which is what `entryLength(address)`
+                // reports.
+                while (last != address) {
+                    CacheAddress prev = meta(last).prev;
+                    storedBytes_ -= meta(last).length;
+                    freeBlock(last);
+                    last = prev;
                 }
-                meta(blk.value()).prev = last;
-                last = blk.value();
+                entries_[slot].append(data.share(0, kept));
+                return blk.status();
             }
-            BlockMeta& m = meta(last);
-            size_t n = std::min<size_t>(cfg_.blockSize - m.length, rest.size());
-            std::memcpy(blockData(last) + m.length, rest.data(), n);
-            m.length += static_cast<uint32_t>(n);
-            storedBytes_ += n;
-            rest = rest.subspan(n);
+            BlockMeta& m = meta(blk.value());
+            m.prev = last;
+            m.entry = slot;
+            last = blk.value();
         }
+        BlockMeta& m = meta(last);
+        const size_t n = std::min<size_t>(cfg_.blockSize - m.length, rest);
+        m.length += static_cast<uint32_t>(n);
+        storedBytes_ += n;
+        rest -= n;
     }
+    for (const auto& frag : data.fragments()) entries_[slot].append(frag);
     return last;
 }
 
-Result<Bytes> BlockCache::get(CacheAddress address) const {
+Result<BufChain> BlockCache::get(CacheAddress address) const {
     return get(address, 0, UINT64_MAX);
 }
 
-Result<Bytes> BlockCache::get(CacheAddress address, uint64_t offset, uint64_t length) const {
-    if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
-    uint64_t total = 0;
-    for (CacheAddress a = address; a != kInvalidAddress; a = meta(a).prev) total += meta(a).length;
-    if (offset > total) offset = total;
-    length = std::min(length, total - offset);
-
-    // Blocks link last → first, so fill the output back to front: each
-    // block covers [end - length, end) of the entry.
-    Bytes out(static_cast<size_t>(length));
-    const uint64_t from = offset;
-    const uint64_t to = offset + length;
-    uint64_t end = total;
-    for (CacheAddress a = address; a != kInvalidAddress && end > from; a = meta(a).prev) {
-        const BlockMeta& m = meta(a);
-        const uint64_t start = end - m.length;
-        const uint64_t lo = std::max(start, from);
-        const uint64_t hi = std::min(end, to);
-        if (lo < hi) {
-            std::memcpy(out.data() + (lo - from), blockData(a) + (lo - start),
-                        static_cast<size_t>(hi - lo));
-        }
-        end = start;
-    }
-    return out;
+Result<BufChain> BlockCache::get(CacheAddress address, uint64_t offset, uint64_t length) const {
+    // The blocks up to `address` account for the entry's first `total`
+    // bytes, and the entry's chain holds those bytes in order.
+    auto total = entryLength(address);
+    if (!total) return total.status();
+    offset = std::min(offset, total.value());
+    length = std::min(length, total.value() - offset);
+    return entries_[meta(address).entry].share(static_cast<size_t>(offset),
+                                                static_cast<size_t>(length));
 }
 
 Result<uint64_t> BlockCache::entryLength(CacheAddress address) const {
@@ -187,6 +172,7 @@ Result<uint64_t> BlockCache::entryLength(CacheAddress address) const {
 
 Status BlockCache::remove(CacheAddress address) {
     if (!validAddress(address)) return Status(Err::InvalidArgument, "bad cache address");
+    const uint32_t slot = meta(address).entry;
     CacheAddress a = address;
     while (a != kInvalidAddress) {
         CacheAddress prev = meta(a).prev;
@@ -194,6 +180,9 @@ Status BlockCache::remove(CacheAddress address) {
         freeBlock(a);
         a = prev;
     }
+    // Drops the entry's hold on its payload buffers.
+    entries_[slot].clear();
+    freeEntries_.push_back(slot);
     return Status::ok();
 }
 

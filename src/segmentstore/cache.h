@@ -1,17 +1,26 @@
-// The Pravega block cache (§4.2, Fig 4), byte-exact to the paper's layout.
+// The Pravega block cache (§4.2, Fig 4), exact to the paper's block
+// accounting.
 //
-// The cache is divided into equal-sized blocks inside pre-allocated
-// contiguous buffers. Blocks are daisy-chained (each block points to its
+// The cache is divided into equal-sized blocks grouped into buffers (in
+// the real system, pre-allocated contiguous memory). Blocks are daisy-chained (each block points to its
 // predecessor) to form cache entries; an entry's address is the address of
 // its LAST block, which makes appends O(1): locate the last block, fill its
 // remaining capacity, then chain new blocks. Empty blocks are chained in a
 // per-buffer free list (small concurrency domain in the real system), and a
 // queue of buffers-with-available-blocks makes finding a free block O(1).
+//
+// What is modeled and what is held (DESIGN.md §8): the block accounting
+// above — addresses, chains, free lists, buffer counts, storedBytes,
+// utilization and so the CacheFull points and eviction order — is the
+// model. The bytes are not copied into blocks: each entry keeps one
+// BufChain of slices of the data it was given (a client's appended block,
+// or a fetched LTS read), and get() hands out slices of it. A slice pins
+// its whole buffer until the entry is removed; that buffer is at most one
+// client block (growth slack included) or one LTS fetch.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/buf_chain.h"
@@ -34,27 +43,28 @@ public:
 
     explicit BlockCache(Config cfg);
 
-    /// Stores a new entry; returns the address of its last block. Copies
-    /// fragment by fragment straight into cache blocks (the single
-    /// block-granularity copy of the ingest path: the chain is never
-    /// flattened first). On CacheFull no block stays allocated.
+    /// Stores a new entry; returns the address of its last block. The
+    /// entry holds `data`'s fragments by reference; no byte is copied. On
+    /// CacheFull no block stays allocated and no fragment is held.
     Result<CacheAddress> insert(const BufChain& data);
 
-    /// Appends to an existing entry; returns the (possibly new) address of
-    /// the entry's last block. O(1) in the entry length. On CacheFull the
-    /// entry keeps its old blocks, its old last block filled up with the
-    /// first bytes of `data`; callers resync via entryLength.
+    /// Appends to an existing entry (`address` must be its current last
+    /// block); returns the (possibly new) address of the entry's last
+    /// block. O(1) in the entry length. On CacheFull the entry keeps its
+    /// old blocks, its old last block filled up with the first bytes of
+    /// `data`; callers resync via entryLength.
     Result<CacheAddress> append(CacheAddress address, const BufChain& data);
 
-    /// Reassembles the full entry by walking the predecessor chain.
-    Result<Bytes> get(CacheAddress address) const;
+    /// The entry's bytes up to and including the block at `address`, as
+    /// slices of the stored data.
+    Result<BufChain> get(CacheAddress address) const;
 
-    /// Ranged read: copies only [offset, offset+length) of the entry
-    /// (clamped to the entry length), skipping preceding blocks without
-    /// touching their bytes.
-    Result<Bytes> get(CacheAddress address, uint64_t offset, uint64_t length) const;
+    /// Ranged read: slices of [offset, offset+length) of the entry (clamped
+    /// to the entry length). No zero-fill and no copy.
+    Result<BufChain> get(CacheAddress address, uint64_t offset, uint64_t length) const;
 
-    /// Total payload bytes stored in the entry.
+    /// Payload bytes stored in the entry up to and including the block at
+    /// `address` (the whole entry at its current address).
     Result<uint64_t> entryLength(CacheAddress address) const;
 
     /// Frees every block of the entry.
@@ -77,13 +87,14 @@ public:
 private:
     struct BlockMeta {
         bool used = false;
-        uint32_t length = 0;          // payload bytes in this block
+        uint32_t length = 0;          // payload bytes this block accounts for
+        uint32_t entry = UINT32_MAX;  // slot in entries_ holding the bytes
         CacheAddress prev = kInvalidAddress;  // predecessor in the entry chain
         uint32_t nextFree = UINT32_MAX;       // free-list link within the buffer
     };
 
+    /// Block metadata only: the bytes live in the entries' chains.
     struct Buffer {
-        std::unique_ptr<uint8_t[]> data;
         std::vector<BlockMeta> blocks;
         uint32_t freeHead = UINT32_MAX;
         uint32_t freeCount = 0;
@@ -96,8 +107,6 @@ private:
     uint32_t blockOf(CacheAddress a) const { return a & ((1u << blockBits_) - 1); }
 
     bool validAddress(CacheAddress a) const;
-    uint8_t* blockData(CacheAddress a);
-    const uint8_t* blockData(CacheAddress a) const;
     BlockMeta& meta(CacheAddress a);
     const BlockMeta& meta(CacheAddress a) const;
 
@@ -111,6 +120,10 @@ private:
     /// Buffers that currently have at least one free block.
     std::deque<uint32_t> buffersWithSpace_;
     std::vector<bool> inSpaceQueue_;
+    /// Each entry's bytes, one slot per entry; every block of the entry
+    /// names the slot. Freed slots are reused, chain capacity and all.
+    std::vector<BufChain> entries_;
+    std::vector<uint32_t> freeEntries_;
     uint32_t usedBlocks_ = 0;
     uint64_t storedBytes_ = 0;
 };

@@ -36,6 +36,16 @@ int64_t getAttribute(const std::map<AttributeId, int64_t>& attributes, Attribute
     return it == attributes.end() ? kNullValue : it->second;
 }
 
+/// A read reply's bytes: one gather of the hit's slices into a reserved
+/// vector, with no zero-fill (ReadResult::data owns its bytes).
+Bytes gatherReply(const BufChain& hit) {
+    Bytes out;
+    out.reserve(hit.size());
+    hit.forEachFragment([&](const SharedBuf& frag) { pravega::append(out, frag.view()); });
+    bufstats::recordStoreCopy(out.size());
+    return out;
+}
+
 /// Setting kNullValue removes the attribute.
 void setAttribute(std::map<AttributeId, int64_t>& attributes, AttributeId id, int64_t value) {
     if (value == kNullValue) {
@@ -827,7 +837,7 @@ void SegmentContainer::attemptRead(SegmentMeta& meta, int64_t offset, int64_t ma
         // as hits; fetch retries arrive with counted=true and count nothing.
         if (!counted) mCacheHits_.inc();
         ReadResult res;
-        res.data = std::move(hit->data);
+        res.data = gatherReply(hit->data);
         res.offset = offset;
         res.endOfSegment =
             meta.props.sealed &&

@@ -72,8 +72,7 @@ Status ReadIndex::append(SegmentId segment, int64_t offset, const BufChain& data
 
 Status ReadIndex::insertEntry(SegmentIndex& idx, int64_t offset, BufChain data) {
     // Split oversized payloads into maxEntryLength pieces (zero-copy
-    // slices; the only byte movement is the block-granularity copy inside
-    // the cache).
+    // slices, which the cache entries hold as they are).
     while (!data.empty()) {
         size_t n = std::min<size_t>(data.size(), static_cast<size_t>(cfg_.maxEntryLength));
         BufChain piece = data.share(0, n);
@@ -176,8 +175,6 @@ Result<ReadOutcome> ReadIndex::read(SegmentId segment, int64_t offset, int64_t m
         e.lastUsedGeneration = generation_;
         int64_t within = offset - *floor.first;
         int64_t n = std::min<int64_t>(e.length - within, maxBytes);
-        // Ranged get: only the requested bytes are copied out of cache
-        // blocks (the old full-entry get + re-slice copied twice).
         auto part = cache_.get(e.address, static_cast<uint64_t>(within),
                                static_cast<uint64_t>(n));
         if (!part) return part.status();

@@ -12,7 +12,7 @@
 #include <optional>
 #include <variant>
 
-#include "common/bytes.h"
+#include "common/buf_chain.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "segmentstore/avl_map.h"
@@ -23,7 +23,7 @@ namespace pravega::segmentstore {
 
 /// Outcome of a read-index lookup.
 struct ReadHit {
-    Bytes data;          // starts exactly at the requested offset
+    BufChain data;       // slices of cached bytes, from exactly the requested offset
 };
 struct ReadMiss {
     int64_t offset;      // fetch this range from LTS...
@@ -60,8 +60,7 @@ public:
     /// Tail append at `offset` (must equal current indexed length unless
     /// the index has gaps from eviction — gaps are fine, appends are not
     /// required to be contiguous with evicted history).
-    /// Fragments are copied straight into cache blocks; the chain itself
-    /// is never flattened.
+    /// The cache entry holds the chain's fragments by reference.
     Status append(SegmentId segment, int64_t offset, const BufChain& data);
 
     /// Inserts data fetched from LTS covering [offset, offset+size). Bytes

@@ -196,7 +196,7 @@ TEST(BufChainTest, CacheChainInsertAndRangedGet) {
     // Ranged get straddling the fragment and block boundaries.
     auto mid = cache.get(addr.value(), 95, 10);
     ASSERT_TRUE(mid.isOk());
-    EXPECT_EQ(str(mid.value()), "xxxxxyyyyy");
+    EXPECT_EQ(str(mid.value().toBytes()), "xxxxxyyyyy");
     // Clamped past-the-end read.
     auto tail = cache.get(addr.value(), 330, 100);
     ASSERT_TRUE(tail.isOk());
@@ -204,7 +204,7 @@ TEST(BufChainTest, CacheChainInsertAndRangedGet) {
     // Full get equals the chain bytes.
     auto all = cache.get(addr.value());
     ASSERT_TRUE(all.isOk());
-    EXPECT_EQ(all.value(), c.toBytes());
+    EXPECT_EQ(all.value().toBytes(), c.toBytes());
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Tests for the Fig 4 block cache: chained entries, O(1) appends, per-
-// buffer free lists, buffer exhaustion, and a randomized property check
-// against a reference map.
+// buffer free lists, buffer exhaustion, a randomized property check
+// against a reference map, and a differential check against a cache that
+// copies bytes into its blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <deque>
 #include <initializer_list>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "segmentstore/cache.h"
 #include "sim/random.h"
@@ -33,7 +39,7 @@ TEST(BlockCacheTest, InsertAndGetSmallEntry) {
     Bytes data = pattern(10);
     auto addr = cache.insert(BufChain(data));
     ASSERT_TRUE(addr.isOk());
-    EXPECT_EQ(cache.get(addr.value()).value(), data);
+    EXPECT_EQ(cache.get(addr.value()).value().toBytes(), data);
     EXPECT_EQ(cache.entryLength(addr.value()).value(), 10u);
     EXPECT_EQ(cache.usedBlocks(), 1u);
 }
@@ -43,7 +49,7 @@ TEST(BlockCacheTest, EntrySpanningMultipleBlocks) {
     Bytes data = pattern(200);  // 4 blocks at 64B
     auto addr = cache.insert(BufChain(data));
     ASSERT_TRUE(addr.isOk());
-    EXPECT_EQ(cache.get(addr.value()).value(), data);
+    EXPECT_EQ(cache.get(addr.value()).value().toBytes(), data);
     EXPECT_EQ(cache.usedBlocks(), 4u);
 }
 
@@ -67,7 +73,7 @@ TEST(BlockCacheTest, AppendChainsNewBlocksAndMovesAddress) {
     Bytes expected = pattern(60);
     Bytes tail = pattern(10, 7);
     expected.insert(expected.end(), tail.begin(), tail.end());
-    EXPECT_EQ(cache.get(addr2).value(), expected);
+    EXPECT_EQ(cache.get(addr2).value().toBytes(), expected);
     // The OLD address no longer identifies the entry's last block; reading
     // it yields only the prefix chain, which is by design (the read index
     // always stores the latest address).
@@ -85,7 +91,7 @@ TEST(BlockCacheTest, ManyAppendsAccumulate) {
         ASSERT_TRUE(r.isOk());
         addr = r.value();
     }
-    EXPECT_EQ(cache.get(addr).value(), expected);
+    EXPECT_EQ(cache.get(addr).value().toBytes(), expected);
 }
 
 TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
@@ -98,7 +104,7 @@ TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
         whole.insert(whole.end(), piece.begin(), piece.end());
         addr = cache.append(addr, BufChain(piece)).value();
     }
-    ASSERT_EQ(cache.get(addr).value(), whole);
+    ASSERT_EQ(cache.get(addr).value().toBytes(), whole);
     for (uint64_t off = 0; off <= whole.size() + 2; ++off) {
         for (uint64_t len : {uint64_t{0}, uint64_t{1}, uint64_t{13}, uint64_t{64}, uint64_t{65},
                              uint64_t{200}, UINT64_MAX}) {
@@ -106,7 +112,7 @@ TEST(BlockCacheTest, RangedGetMatchesSliceOfWholeEntry) {
             const size_t n = static_cast<size_t>(std::min<uint64_t>(len, whole.size() - from));
             Bytes want(whole.begin() + static_cast<std::ptrdiff_t>(from),
                        whole.begin() + static_cast<std::ptrdiff_t>(from + n));
-            EXPECT_EQ(cache.get(addr, off, len).value(), want) << off << "+" << len;
+            EXPECT_EQ(cache.get(addr, off, len).value().toBytes(), want) << off << "+" << len;
         }
     }
 }
@@ -258,7 +264,7 @@ TEST_P(BlockCachePropertyTest, MatchesReferenceModel) {
     for (const auto& [addr, data] : reference) {
         auto got = cache.get(addr);
         ASSERT_TRUE(got.isOk());
-        EXPECT_EQ(got.value(), data);
+        EXPECT_EQ(got.value().toBytes(), data);
         totalBytes += data.size();
     }
     EXPECT_EQ(cache.storedBytes(), totalBytes);
@@ -267,5 +273,327 @@ TEST_P(BlockCachePropertyTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockCachePropertyTest,
                          ::testing::Values(1, 7, 13, 99, 12345, 777777));
 
+/// The block cache as it was before entries held slices: the same block
+/// accounting, with every byte copied into 4 KB-style blocks of
+/// pre-allocated buffers and copied out again by get(). The reference the
+/// slice-holding BlockCache must match op for op.
+class CopyingBlockCache {
+public:
+    explicit CopyingBlockCache(BlockCache::Config cfg)
+        : cfg_(cfg), blockBits_(static_cast<uint32_t>(std::countr_zero(cfg.blocksPerBuffer))) {
+        inSpaceQueue_.assign(cfg_.maxBuffers, false);
+    }
+
+    Result<CacheAddress> insert(const BufChain& data) {
+        auto first = allocBlock();
+        if (!first) return first.status();
+        auto last = append(first.value(), data);
+        if (!last) remove(first.value());
+        return last;
+    }
+
+    Result<CacheAddress> append(CacheAddress address, const BufChain& data) {
+        if (!valid(address)) return Status(Err::InvalidArgument, "bad cache address");
+        CacheAddress last = address;
+        for (const auto& frag : data.fragments()) {
+            BytesView rest = frag.view();
+            while (!rest.empty()) {
+                if (meta(last).length == cfg_.blockSize) {
+                    auto blk = allocBlock();
+                    if (!blk) {
+                        while (last != address) {
+                            CacheAddress prev = meta(last).prev;
+                            storedBytes_ -= meta(last).length;
+                            freeBlock(last);
+                            last = prev;
+                        }
+                        return blk.status();
+                    }
+                    meta(blk.value()).prev = last;
+                    last = blk.value();
+                }
+                Meta& m = meta(last);
+                size_t n = std::min<size_t>(cfg_.blockSize - m.length, rest.size());
+                std::memcpy(blockData(last) + m.length, rest.data(), n);
+                m.length += static_cast<uint32_t>(n);
+                storedBytes_ += n;
+                rest = rest.subspan(n);
+            }
+        }
+        return last;
+    }
+
+    Result<Bytes> get(CacheAddress address, uint64_t offset, uint64_t length) {
+        if (!valid(address)) return Status(Err::InvalidArgument, "bad cache address");
+        uint64_t total = entryLength(address).value();
+        offset = std::min(offset, total);
+        length = std::min(length, total - offset);
+        Bytes out(static_cast<size_t>(length));
+        uint64_t end = total;
+        for (CacheAddress a = address; a != kInvalidAddress && end > offset; a = meta(a).prev) {
+            const uint64_t start = end - meta(a).length;
+            const uint64_t lo = std::max(start, offset);
+            const uint64_t hi = std::min(end, offset + length);
+            if (lo < hi) {
+                std::memcpy(out.data() + (lo - offset), blockData(a) + (lo - start),
+                            static_cast<size_t>(hi - lo));
+            }
+            end = start;
+        }
+        return out;
+    }
+
+    Result<uint64_t> entryLength(CacheAddress address) {
+        if (!valid(address)) return Status(Err::InvalidArgument, "bad cache address");
+        uint64_t total = 0;
+        for (CacheAddress a = address; a != kInvalidAddress; a = meta(a).prev) total += meta(a).length;
+        return total;
+    }
+
+    Status remove(CacheAddress address) {
+        if (!valid(address)) return Status(Err::InvalidArgument, "bad cache address");
+        for (CacheAddress a = address; a != kInvalidAddress;) {
+            CacheAddress prev = meta(a).prev;
+            storedBytes_ -= meta(a).length;
+            freeBlock(a);
+            a = prev;
+        }
+        return Status::ok();
+    }
+
+    uint32_t usedBlocks() const { return usedBlocks_; }
+    uint32_t allocatedBuffers() const { return static_cast<uint32_t>(buffers_.size()); }
+    uint64_t storedBytes() const { return storedBytes_; }
+    double utilization() const {
+        return static_cast<double>(usedBlocks_) /
+               (static_cast<double>(cfg_.maxBuffers) * cfg_.blocksPerBuffer);
+    }
+
+private:
+    struct Meta {
+        bool used = false;
+        uint32_t length = 0;
+        CacheAddress prev = kInvalidAddress;
+        uint32_t nextFree = UINT32_MAX;
+    };
+    struct Buffer {
+        std::unique_ptr<uint8_t[]> data;
+        std::vector<Meta> blocks;
+        uint32_t freeHead = UINT32_MAX;
+        uint32_t freeCount = 0;
+    };
+
+    uint32_t bufferOf(CacheAddress a) const { return a >> blockBits_; }
+    uint32_t blockOf(CacheAddress a) const { return a & ((1u << blockBits_) - 1); }
+    bool valid(CacheAddress a) const {
+        return a != kInvalidAddress && bufferOf(a) < buffers_.size() &&
+               buffers_[bufferOf(a)].blocks[blockOf(a)].used;
+    }
+    Meta& meta(CacheAddress a) { return buffers_[bufferOf(a)].blocks[blockOf(a)]; }
+    uint8_t* blockData(CacheAddress a) {
+        return buffers_[bufferOf(a)].data.get() + size_t{blockOf(a)} * cfg_.blockSize;
+    }
+
+    Result<CacheAddress> allocBlock() {
+        while (!buffersWithSpace_.empty()) {
+            uint32_t bufId = buffersWithSpace_.front();
+            Buffer& buf = buffers_[bufId];
+            if (buf.freeHead == UINT32_MAX) {
+                buffersWithSpace_.pop_front();
+                inSpaceQueue_[bufId] = false;
+                continue;
+            }
+            uint32_t blk = buf.freeHead;
+            Meta& m = buf.blocks[blk];
+            buf.freeHead = m.nextFree;
+            --buf.freeCount;
+            m = Meta{};
+            m.used = true;
+            ++usedBlocks_;
+            if (buf.freeCount == 0) {
+                buffersWithSpace_.pop_front();
+                inSpaceQueue_[bufId] = false;
+            }
+            return (bufId << blockBits_) | blk;
+        }
+        if (buffers_.size() >= cfg_.maxBuffers) return Status(Err::CacheFull, "all buffers full");
+        uint32_t bufId = static_cast<uint32_t>(buffers_.size());
+        Buffer buf;
+        buf.data = std::make_unique<uint8_t[]>(size_t{cfg_.blocksPerBuffer} * cfg_.blockSize);
+        buf.blocks.resize(cfg_.blocksPerBuffer);
+        for (uint32_t i = 0; i < cfg_.blocksPerBuffer; ++i) {
+            buf.blocks[i].nextFree = (i + 1 < cfg_.blocksPerBuffer) ? i + 1 : UINT32_MAX;
+        }
+        buf.freeHead = 0;
+        buf.freeCount = cfg_.blocksPerBuffer;
+        buffers_.push_back(std::move(buf));
+        buffersWithSpace_.push_back(bufId);
+        inSpaceQueue_[bufId] = true;
+        return allocBlock();
+    }
+
+    void freeBlock(CacheAddress a) {
+        uint32_t bufId = bufferOf(a);
+        Buffer& buf = buffers_[bufId];
+        Meta& m = buf.blocks[blockOf(a)];
+        m = Meta{};
+        m.nextFree = buf.freeHead;
+        buf.freeHead = blockOf(a);
+        ++buf.freeCount;
+        --usedBlocks_;
+        if (!inSpaceQueue_[bufId]) {
+            buffersWithSpace_.push_back(bufId);
+            inSpaceQueue_[bufId] = true;
+        }
+    }
+
+    BlockCache::Config cfg_;
+    uint32_t blockBits_;
+    std::vector<Buffer> buffers_;
+    std::deque<uint32_t> buffersWithSpace_;
+    std::vector<bool> inSpaceQueue_;
+    uint32_t usedBlocks_ = 0;
+    uint64_t storedBytes_ = 0;
+};
+
+/// A random chain of 1-4 fragments, some of them slices of larger buffers.
+BufChain randomChain(sim::Rng& rng, size_t maxBytes) {
+    BufChain out;
+    const uint64_t frags = 1 + rng.nextBounded(4);
+    for (uint64_t i = 0; i < frags; ++i) {
+        Bytes data(rng.nextBounded(maxBytes / frags + 1) + 8);
+        for (auto& b : data) b = static_cast<uint8_t>(rng.next());
+        const SharedBuf buf(std::move(data));
+        const size_t skip = rng.nextBounded(4);
+        out.append(buf.slice(skip, buf.size() - skip - rng.nextBounded(4)));
+    }
+    return out;
+}
+
+class BlockCacheDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BlockCacheDifferentialTest, MatchesCopyingCacheOpForOp) {
+    // 48 blocks of 32 B: inserts, appends and fills reach CacheFull often,
+    // in the middle of multi-fragment chains.
+    BlockCache::Config cfg;
+    cfg.blockSize = 32;
+    cfg.blocksPerBuffer = 8;
+    cfg.maxBuffers = 6;
+    BlockCache cache(cfg);
+    CopyingBlockCache ref(cfg);
+    sim::Rng rng(GetParam());
+    std::vector<CacheAddress> live;
+    uint32_t fullInserts = 0;
+    uint32_t fullAppends = 0;
+
+    auto sameResult = [](const Result<CacheAddress>& got, const Result<CacheAddress>& want) {
+        ASSERT_EQ(got.code(), want.code());
+        if (want.isOk()) {
+            ASSERT_EQ(got.value(), want.value());
+        }
+    };
+    for (int op = 0; op < 3000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        const uint64_t dice = rng.nextBounded(20);
+        if (dice < 6 || live.empty()) {
+            BufChain data = randomChain(rng, 200);
+            auto got = cache.insert(data);
+            auto want = ref.insert(data);
+            sameResult(got, want);
+            if (want.isOk()) live.push_back(want.value());
+            fullInserts += want.code() == Err::CacheFull;
+        } else if (dice < 12) {
+            const size_t i = rng.nextBounded(live.size());
+            BufChain data = randomChain(rng, 150);
+            auto got = cache.append(live[i], data);
+            auto want = ref.append(live[i], data);
+            sameResult(got, want);
+            if (want.isOk()) live[i] = want.value();
+            fullAppends += want.code() == Err::CacheFull;
+        } else if (dice < 16) {
+            const CacheAddress a = live[rng.nextBounded(live.size())];
+            const uint64_t len = ref.entryLength(a).value();
+            const uint64_t off = rng.nextBounded(len + 3);
+            const uint64_t n = rng.nextBounded(2) ? UINT64_MAX : rng.nextBounded(len + 3);
+            auto got = cache.get(a, off, n);
+            auto want = ref.get(a, off, n);
+            ASSERT_TRUE(got.isOk());
+            ASSERT_EQ(got.value().toBytes(), want.value());
+        } else if (dice < 19) {
+            const size_t i = rng.nextBounded(live.size());
+            ASSERT_TRUE(cache.remove(live[i]).isOk());
+            ASSERT_TRUE(ref.remove(live[i]).isOk());
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+            // Fill to CacheFull with multi-fragment inserts.
+            for (;;) {
+                BufChain data = randomChain(rng, 400);
+                auto got = cache.insert(data);
+                auto want = ref.insert(data);
+                sameResult(got, want);
+                if (!want.isOk()) break;
+                live.push_back(want.value());
+            }
+            ++fullInserts;
+        }
+        ASSERT_EQ(cache.usedBlocks(), ref.usedBlocks());
+        ASSERT_EQ(cache.allocatedBuffers(), ref.allocatedBuffers());
+        ASSERT_EQ(cache.storedBytes(), ref.storedBytes());
+        ASSERT_EQ(cache.utilization(), ref.utilization());
+        for (CacheAddress a : live) {
+            ASSERT_EQ(cache.entryLength(a).value(), ref.entryLength(a).value());
+            ASSERT_EQ(cache.get(a).value().toBytes(), ref.get(a, 0, UINT64_MAX).value());
+        }
+    }
+    EXPECT_GT(fullInserts, 0u);
+    EXPECT_GT(fullAppends, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BlockCacheDifferentialTest, ::testing::Values(1, 2, 3, 42, 2024));
+
+TEST(BlockCacheTest, HoldsSlicesAndReleasesThemOnRemoveEvictionAndUnwind) {
+    auto cfg = smallConfig();  // 32 blocks of 64 B
+    BlockCache cache(cfg);
+    const SharedBuf payload(pattern(200));
+
+    // Stored and read back as slices of the payload: no copy.
+    auto addr = cache.insert(BufChain(payload.slice(10, 100)));
+    ASSERT_TRUE(addr.isOk());
+    auto got = cache.get(addr.value(), 20, 30);
+    ASSERT_EQ(got.value().fragmentCount(), 1u);
+    EXPECT_EQ(got.value().fragments()[0].data(), payload.data() + 30);
+    got = Status(Err::NotFound, "");  // drop the handed-out slice
+    EXPECT_GT(payload.useCount(), 1u);
+
+    // remove
+    ASSERT_TRUE(cache.remove(addr.value()).isOk());
+    EXPECT_EQ(payload.useCount(), 1u);
+
+    // Eviction by the read index goes through remove; here a whole entry
+    // of several appends is dropped at once.
+    addr = cache.insert(BufChain(payload.slice(0, 50)));
+    auto grown = cache.append(addr.value(), BufChain(payload.slice(50, 150)));
+    ASSERT_TRUE(grown.isOk());
+    ASSERT_TRUE(cache.remove(grown.value()).isOk());
+    EXPECT_EQ(payload.useCount(), 1u);
+
+    // CacheFull unwind: an insert that cannot fit keeps nothing, and an
+    // append that cannot fit keeps only the bytes its old last block took.
+    auto filler = cache.insert(BufChain(pattern(64 * 30)));
+    ASSERT_TRUE(filler.isOk());
+    BufChain big(payload);
+    big.append(payload.slice(0, 100));
+    const uint32_t held = payload.useCount();  // this handle and `big`'s two
+    EXPECT_EQ(cache.insert(big).code(), Err::CacheFull);
+    EXPECT_EQ(payload.useCount(), held);
+    auto small = cache.insert(BufChain(pattern(10)));
+    ASSERT_TRUE(small.isOk());
+    EXPECT_EQ(cache.append(small.value(), big).code(), Err::CacheFull);
+    EXPECT_EQ(cache.entryLength(small.value()).value(), 64u);
+    EXPECT_EQ(payload.useCount(), held + 1);  // the 54 bytes that fit
+    ASSERT_TRUE(cache.remove(small.value()).isOk());
+    big.clear();
+    EXPECT_EQ(payload.useCount(), 1u);
+}
 }  // namespace
 }  // namespace pravega::segmentstore

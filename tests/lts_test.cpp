@@ -212,17 +212,27 @@ TEST_F(ExtentStoreTest, AppendCopiesOutsideBufstats) {
     expectRead(399, 64, 63);
 }
 
-TEST_F(ExtentStoreTest, AdoptsOnlyWholeBuffers) {
-    // A one-fragment chain spanning its whole buffer becomes the extent; a
-    // partial slice is copied, so the store never pins the rest of it.
-    const SharedBuf whole(pattern(400, 64));
-    waitStatus(exec_, mem_.append("c", whole));
-    EXPECT_EQ(waitValue(exec_, mem_.read("c", 400, 64)).data(), whole.data());
+TEST_F(ExtentStoreTest, AdoptsEveryFragmentWithoutCopy) {
+    // Each fragment of an appended chain becomes an extent as it is, partial
+    // slices and spare capacity included: the store holds the appender's
+    // bytes, never a copy of them.
+    Bytes grown = pattern(400, 64);
+    grown.reserve(256);  // growth slack behind the first fragment
+    const SharedBuf first(std::move(grown));
     const SharedBuf backing(pattern(463, 66));
-    waitStatus(exec_, mem_.append("c", backing.slice(1, 64)));
-    auto copied = waitValue(exec_, mem_.read("c", 464, 64));
-    EXPECT_NE(copied.data(), backing.data() + 1);
-    EXPECT_EQ(Bytes(copied.view().begin(), copied.view().end()), pattern(464, 64));
+    BufChain chain(first);
+    chain.append(backing.slice(1, 64));
+    bufstats::reset();
+    waitStatus(exec_, mem_.append("c", std::move(chain)));
+    EXPECT_EQ(bufstats::bytesCopied, 0u);
+    EXPECT_EQ(bufstats::storeBytesCopied, 0u);
+    // A read inside one fragment is a slice of that fragment.
+    EXPECT_EQ(waitValue(exec_, mem_.read("c", 400, 64)).data(), first.data());
+    EXPECT_EQ(waitValue(exec_, mem_.read("c", 470, 20)).data(), backing.data() + 7);
+    EXPECT_EQ(bufstats::storeBytesCopied, 0u);
+    // A read across them returns the same bytes, gathered once.
+    expectRead(440, 60, 60);
+    EXPECT_EQ(bufstats::storeBytesCopied, 60u);
 }
 
 TEST(SimulatedObjectStorageTest, TransfersTakeModelTime) {

@@ -42,7 +42,7 @@ TEST_F(ReadIndexFixture, AppendThenReadHit) {
     ASSERT_TRUE(outcome.isOk());
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->data, data);
+    EXPECT_EQ(hit->data.toBytes(), data);
 }
 
 TEST_F(ReadIndexFixture, ReadFromMiddleOffset) {
@@ -51,7 +51,7 @@ TEST_F(ReadIndexFixture, ReadFromMiddleOffset) {
     auto outcome = index.read(kSeg, 40, 20, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->data, Bytes(data.begin() + 40, data.begin() + 60));
+    EXPECT_EQ(hit->data.toBytes(), Bytes(data.begin() + 40, data.begin() + 60));
 }
 
 TEST_F(ReadIndexFixture, ContiguousAppendsExtendLastEntry) {
@@ -62,7 +62,7 @@ TEST_F(ReadIndexFixture, ContiguousAppendsExtendLastEntry) {
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->data.size(), 100u);
-    EXPECT_EQ(hit->data, seq(100));
+    EXPECT_EQ(hit->data.toBytes(), seq(100));
 }
 
 TEST_F(ReadIndexFixture, EntriesSplitAtMaxLength) {
@@ -103,7 +103,7 @@ TEST_F(ReadIndexFixture, InsertFromStorageThenHit) {
     auto outcome = index.read(kSeg, 0, 100, 1000, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->data, seq(100));
+    EXPECT_EQ(hit->data.toBytes(), seq(100));
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageDoesNotOverwriteIndexed) {
@@ -113,7 +113,7 @@ TEST_F(ReadIndexFixture, InsertFromStorageDoesNotOverwriteIndexed) {
     auto outcome = index.read(kSeg, 50, 50, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->data, seq(50, 99));  // original entry intact
+    EXPECT_EQ(hit->data.toBytes(), seq(50, 99));  // original entry intact
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageTrimsAgainstFloorEntry) {
@@ -129,11 +129,11 @@ TEST_F(ReadIndexFixture, InsertFromStorageTrimsAgainstFloorEntry) {
     auto head = index.read(kSeg, 0, 50, 100, 0);
     auto* hitHead = std::get_if<ReadHit>(&head.value());
     ASSERT_NE(hitHead, nullptr);
-    EXPECT_EQ(hitHead->data, seq(50));
+    EXPECT_EQ(hitHead->data.toBytes(), seq(50));
     auto tail = index.read(kSeg, 50, 50, 100, 0);
     auto* hitTail = std::get_if<ReadHit>(&tail.value());
     ASSERT_NE(hitTail, nullptr);
-    EXPECT_EQ(hitTail->data, seq(50, 50));
+    EXPECT_EQ(hitTail->data.toBytes(), seq(50, 50));
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageStartingInsideFloorEntry) {
@@ -145,7 +145,7 @@ TEST_F(ReadIndexFixture, InsertFromStorageStartingInsideFloorEntry) {
     auto outcome = index.read(kSeg, 60, 40, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->data, seq(40, 60));
+    EXPECT_EQ(hit->data.toBytes(), seq(40, 60));
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageFillsGapsAroundExistingEntry) {
@@ -162,7 +162,7 @@ TEST_F(ReadIndexFixture, InsertFromStorageFillsGapsAroundExistingEntry) {
         ASSERT_NE(hit, nullptr);
         ASSERT_FALSE(hit->data.empty());
         offset += static_cast<int64_t>(hit->data.size());
-        all.insert(all.end(), hit->data.begin(), hit->data.end());
+        pravega::append(all, hit->data.toBytes());
     }
     EXPECT_EQ(all, seq(100));
 }

@@ -869,8 +869,9 @@ TEST(SchedulerFastPath, DifferentialOrderMatchesReferenceMergeOrder) {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
-    // Delay menu spanning all three tiers: due-now, sub-slot, mid-wheel,
-    // wheel edge (the 2^13ns x 2048 horizon is ~16.8ms), and far heap.
+    // Delay menu from due-now (listed twice, so zero delays are common)
+    // through nanoseconds and microseconds to tens of milliseconds, so keys
+    // pushed at different times interleave in the heap.
     const Duration menu[] = {0, 0, 13, usec(3), usec(300), msec(5),
                              msec(16), msec(17), msec(60)};
     size_t total = 0;
@@ -929,25 +930,25 @@ TEST(SchedulerFastPath, RunOneDoesASingleSelection) {
     EXPECT_EQ(m.executedEvents(), 1u);
 }
 
-TEST(SchedulerFastPath, FarEventCrossesIntoWheelWindowCorrectly) {
+TEST(SchedulerFastPath, LaterPushesDueEarlierRunBeforePendingEvent) {
     Machine m;
     std::vector<int> order;
-    // A: far beyond the wheel horizon at push time.
+    // A: pushed first, due 50 ms out.
     m.schedule(msec(50), [&] { order.push_back(0); });
     m.runUntil(msec(40));
-    // B: now inside the wheel, earlier than A. C: due-now post behind the
-    // wheel cursor position that scanning may have advanced to.
+    // B: pushed at 40 ms, due at 41 ms, before A. C: a due-now post,
+    // pushed last and run first.
     m.schedule(msec(1), [&] { order.push_back(1); });
     m.post([&] { order.push_back(2); });
     m.runUntil(msec(100));
     EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
 }
 
-TEST(SchedulerFastPath, WheelLapWrapKeepsOrder) {
+TEST(SchedulerFastPath, ChainedTimersInterleaveWithPendingEvent) {
     Machine m;
     std::vector<int> order;
-    // Events more than one full wheel lap apart, scheduled progressively so
-    // the cursor wraps several times.
+    // A chain of 16 ms timers, each scheduled when the previous one fires,
+    // against one event pushed up front that falls between two of them.
     m.schedule(msec(16), [&] {
         order.push_back(0);
         m.schedule(msec(16), [&] {
